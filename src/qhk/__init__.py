@@ -36,7 +36,6 @@ from .sieve import (
     VerifyReport,
     annihilated_subspace,
     check_curtis_bound,
-    f2_kernel,
     monomial_basis,
     primitive_subspace,
     run_verifier,
@@ -90,7 +89,6 @@ __all__ = [
     "element_is_A_annihilated",
     "element_to_json",
     "excess",
-    "f2_kernel",
     "format_element",
     "indecomposable_part",
     "is_primitive",

@@ -20,7 +20,7 @@ Q^n(v^2) = (Q^{n/2} v)^2 for even n, 0 for odd n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .adem import admissible_expansion
@@ -32,18 +32,27 @@ from .spaces import (
     root_gen,
     suspend_space,
 )
-from .words import AdmissibleGen, lower_entries, word_sort_key
+from .words import AdmissibleGen, lower_entries
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Monomial:
-    """Product of word powers, factors ascending by word order."""
+    """Product of word powers, factors ascending by word order.  The degree
+    and the hash are computed once, at construction."""
 
     factors: tuple[tuple[AdmissibleGen, int], ...]
+    degree: int = field(init=False, compare=False, repr=False)
+    _hash: int = field(init=False, compare=False, repr=False)
 
-    @property
-    def degree(self) -> int:
-        return sum(e * w.degree for w, e in self.factors)
+    def __post_init__(self) -> None:
+        degree = 0
+        for w, e in self.factors:
+            degree += e * w.degree
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "_hash", hash(self.factors))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def total_exponent(self) -> int:
@@ -66,12 +75,14 @@ def mono_from_pairs(pairs) -> Monomial:
             raise ValueError("negative exponent")
         merged[w] = merged.get(w, 0) + e
     kept = [(w, e) for w, e in merged.items() if e > 0]
-    kept.sort(key=lambda we: word_sort_key(we[0]))
+    kept.sort(key=lambda we: we[0].sort_key)
     return Monomial(tuple(kept))
 
 
 def mono_word(w: AdmissibleGen, e: int = 1) -> Monomial:
-    return mono_from_pairs([(w, e)])
+    if e < 0:
+        raise ValueError("negative exponent")
+    return Monomial(((w, e),)) if e else MONO_ONE
 
 
 def el_gen(g: Generator) -> Element:
@@ -79,7 +90,39 @@ def el_gen(g: Generator) -> Element:
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return mono_from_pairs(a.factors + b.factors)
+    """The product, by merging the two factor tuples, which are already
+    ascending by word key; equal to mono_from_pairs(a.factors + b.factors)."""
+    fa, fb = a.factors, b.factors
+    if not fa:
+        return b
+    if not fb:
+        return a
+    if fa[-1][0].sort_key < fb[0][0].sort_key:
+        return Monomial(fa + fb)
+    if fb[-1][0].sort_key < fa[0][0].sort_key:
+        return Monomial(fb + fa)
+    out = []
+    i = j = 0
+    na, nb = len(fa), len(fb)
+    while i < na and j < nb:
+        wa, ea = fa[i]
+        wb, eb = fb[j]
+        ka, kb = wa.sort_key, wb.sort_key
+        if ka < kb:
+            out.append(fa[i])
+            i += 1
+        elif kb < ka:
+            out.append(fb[j])
+            j += 1
+        elif wa == wb:
+            out.append((wa, ea + eb))
+            i += 1
+            j += 1
+        else:
+            # distinct words with equal keys (generators of different space
+            # kinds): the stable sort in mono_from_pairs decides their order
+            return mono_from_pairs(fa + fb)
+    return Monomial(tuple(out) + fa[i:] + fb[j:])
 
 
 def mono_square(m: Monomial) -> Monomial:

@@ -18,8 +18,10 @@ Layout, all little-endian:
 The encoding of a basis is canonical (the enumeration order of
 monomial_basis, factors in their stored ascending order), so writing the
 same basis twice gives identical bytes; the round-trip test relies on it.
-A file that fails any validation is ignored with a warning and the basis
-is recomputed.
+Decoding accepts only that canonical form: every generator lives on the
+file's space, every exponent is positive, and the factors of a monomial
+are distinct and ascending by word order.  A file that fails any
+validation is ignored with a warning and the basis is recomputed.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ import sys
 import zlib
 from pathlib import Path
 
-from .algebra import Monomial
+from .algebra import Monomial, mono_from_pairs
 from .sieve import monomial_basis
-from .spaces import REALPROJ, SIGMACP, SPHERE, Generator, Space, space_name
+from .spaces import REALPROJ, SIGMACP, SPHERE, Generator, Space, gen_degree, generators, space_name
 from .words import AdmissibleGen
 
 MAGIC = b"QHK1"
@@ -92,8 +94,15 @@ def basis_from_bytes(data: bytes) -> tuple[Space, int, int, tuple[Monomial, ...]
                 pos += 12
                 ops = struct.unpack_from(f"<{wordlen}I", data, pos)
                 pos += 4 * wordlen
-                factors.append((AdmissibleGen(tuple(ops), Generator(space, index)), e))
-            m = Monomial(tuple(factors))
+                gen = Generator(space, index)
+                if generators(space, gen_degree(gen)) != (gen,):
+                    raise CacheError(f"no generator of index {index} on {space_name(space)}")
+                if e < 1:
+                    raise CacheError(f"exponent {e} in a stored factor")
+                factors.append((AdmissibleGen(tuple(ops), gen), e))
+            m = mono_from_pairs(factors)
+            if m.factors != tuple(factors):
+                raise CacheError("factors out of canonical order")
             if m.degree != degree:
                 raise CacheError(f"monomial of degree {m.degree} in a degree-{degree} file")
             basis.append(m)

@@ -47,52 +47,12 @@ from .words import AdmissibleGen, admissible_words, excess, is_admissible_ops, w
 
 # -- GF(2) kernels ------------------------------------------------------------
 
-def f2_kernel(rows) -> set[tuple[int, ...]]:
-    """Kernel basis of the matrix with the given 0/1 rows, by the
-    free-column method on the reduced row echelon form."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        raise ValueError("no rows: the ambient dimension would be ambiguous")
-    n = len(rows[0])
-    if any(len(r) != n for r in rows):
-        raise ValueError("rows of unequal length")
-    if any(x not in (0, 1) for r in rows for x in r):
-        raise ValueError("entries must be 0 or 1")
-    pivots: dict[int, int] = {}
-    for r in rows:
-        m = 0
-        for j, x in enumerate(r):
-            m |= x << j
-        # clear every pivot column; ascending sweep terminates because each
-        # xor zeroes bit c and touches only higher bits
-        c = 0
-        while m >> c:
-            if (m >> c) & 1 and c in pivots:
-                m ^= pivots[c]
-            else:
-                c += 1
-        if m:
-            lead = (m & -m).bit_length() - 1
-            for c2 in pivots:
-                if (pivots[c2] >> lead) & 1:
-                    pivots[c2] ^= m
-            pivots[lead] = m
-    out = set()
-    for f in range(n):
-        if f in pivots:
-            continue
-        vec = [0] * n
-        vec[f] = 1
-        for c, m in pivots.items():
-            if (m >> f) & 1:
-                vec[c] = 1
-        out.add(tuple(vec))
-    return out
-
-
 def _map_kernel(images: list[int]) -> list[int]:
     """Kernel of e_i -> images[i], as domain bitmasks, by elimination with
-    trackers.  Deterministic in the input order."""
+    trackers.  Deterministic in the input order, and independent of how the
+    target columns are numbered: row i yields a kernel vector exactly when
+    its image lies in the span of the earlier images, and its tracker is the
+    unique way of writing it over the earlier independent rows."""
     lead: dict[int, tuple[int, int]] = {}
     out = []
     for i, img in enumerate(images):
@@ -123,7 +83,7 @@ def monomial_basis(space: Space, degree: int, max_len: int) -> tuple[Monomial, .
 
     def rec(idx: int, remaining: int, acc: list) -> None:
         if remaining == 0:
-            pairs = sorted(acc, key=lambda we: word_sort_key(we[0]))
+            pairs = sorted(acc, key=lambda we: we[0].sort_key)
             out.append(Monomial(tuple(pairs)))
             return
         if idx == len(words):
@@ -139,7 +99,11 @@ def monomial_basis(space: Space, degree: int, max_len: int) -> tuple[Monomial, .
     return tuple(out)
 
 
-def _steenrod_images(space: Space, degree: int, max_len: int) -> list[int]:
+# The images of one degree are shared by the three subspaces of that degree
+# and dropped when another degree is asked for.
+
+@lru_cache(maxsize=1)
+def _steenrod_images(space: Space, degree: int, max_len: int) -> tuple[int, ...]:
     """Stacked images of every basis monomial under all Sq^{2^k} below the
     degree, as bitmasks over the concatenated target bases."""
     basis = monomial_basis(space, degree, max_len)
@@ -158,39 +122,37 @@ def _steenrod_images(space: Space, degree: int, max_len: int) -> list[int]:
                 mask |= 1 << (off + index[mm])
             off += size
         images.append(mask)
-    return images
+    return tuple(images)
 
 
-def _coproduct_images(space: Space, degree: int, max_len: int) -> list[int]:
-    basis = monomial_basis(space, degree, max_len)
+@lru_cache(maxsize=1)
+def _coproduct_images(space: Space, degree: int, max_len: int) -> tuple[int, ...]:
+    """Reduced coproducts of every basis monomial, as bitmasks over the
+    tensor pairs numbered in order of first appearance.  That numbering
+    follows set iteration order, which is harmless: kernels do not depend
+    on the column numbering (see _map_kernel)."""
     columns: dict[tuple[Monomial, Monomial], int] = {}
     images = []
-    for m in basis:
+    for m in monomial_basis(space, degree, max_len):
         mask = 0
-        for pair in sorted(
-            reduced_coproduct(frozenset({m})),
-            key=lambda lr: (_basis_pos(space, max_len, lr[0]), _basis_pos(space, max_len, lr[1])),
-        ):
-            col = columns.setdefault(pair, len(columns))
-            mask |= 1 << col
+        for pair in reduced_coproduct(frozenset({m})):
+            mask |= 1 << columns.setdefault(pair, len(columns))
         images.append(mask)
-    return images
+    return tuple(images)
 
 
-@lru_cache(maxsize=None)
-def _basis_index(space: Space, degree: int, max_len: int) -> dict:
-    return {m: i for i, m in enumerate(monomial_basis(space, degree, max_len))}
-
-
-def _basis_pos(space: Space, max_len: int, m: Monomial) -> tuple[int, int]:
-    return (m.degree, _basis_index(space, m.degree, max_len)[m])
-
-
-def _kernel_elements(space: Space, degree: int, max_len: int, images: list[int]) -> tuple[Element, ...]:
+def _kernel_elements(
+    space: Space, degree: int, max_len: int, images: list[int] | tuple[int, ...]
+) -> tuple[Element, ...]:
     basis = monomial_basis(space, degree, max_len)
     out = []
     for mask in _map_kernel(images):
-        out.append(frozenset(basis[i] for i in range(len(basis)) if (mask >> i) & 1))
+        terms = []
+        while mask:
+            low = mask & -mask
+            terms.append(basis[low.bit_length() - 1])
+            mask ^= low
+        out.append(frozenset(terms))
     return tuple(out)
 
 

@@ -19,7 +19,7 @@ words of a fixed degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from .spaces import Generator, Space, gen_degree, gen_sort_key, generators
@@ -59,35 +59,44 @@ def is_admissible_ops(ops: tuple[int, ...]) -> bool:
     return all(ops[j] <= 2 * ops[j + 1] for j in range(len(ops) - 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdmissibleGen:
-    """A polynomial-algebra generator Q^I x: I admissible, positive excess."""
+    """A polynomial-algebra generator Q^I x: I admissible, positive excess.
+
+    The degree, the word_sort_key and the hash are computed once, at
+    construction; words are hashed and compared by key in every product."""
 
     ops: tuple[int, ...]
     gen: Generator
+    degree: int = field(init=False, compare=False, repr=False)
+    sort_key: tuple = field(init=False, compare=False, repr=False)
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        gen_deg = gen_degree(self.gen)
+        entries = lower_entries(self.ops, gen_deg)
         if self.ops:
-            entries = lower_entries(self.ops, gen_degree(self.gen))
             if entries[0] < 1:
                 raise ValueError(f"excess {entries[0]} < 1 in Q^{self.ops} {self.gen}")
             if any(entries[j] > entries[j + 1] for j in range(len(entries) - 1)):
                 raise ValueError(f"inadmissible word Q^{self.ops} {self.gen}")
+        object.__setattr__(self, "degree", word_degree(self.ops, gen_deg))
+        object.__setattr__(self, "sort_key", (len(self.ops), entries, gen_sort_key(self.gen)))
+        object.__setattr__(self, "_hash", hash((self.ops, self.gen)))
 
-    @property
-    def degree(self) -> int:
-        return word_degree(self.ops, gen_degree(self.gen))
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def lower(self) -> tuple[int, ...]:
-        return lower_entries(self.ops, gen_degree(self.gen))
+        return self.sort_key[1]
 
 
 def word_sort_key(w: AdmissibleGen) -> tuple:
     """Total order: length first, then lower entries lexicographically, then
     the generator.  The Steenrod action strictly lowers this key, which is
     what termination and leading-term arguments lean on."""
-    return (len(w.ops), w.lower, gen_sort_key(w.gen))
+    return w.sort_key
 
 
 def _lower_sequences(length: int, budget: int, lo: int, weight: int) -> Iterator[tuple[int, ...]]:

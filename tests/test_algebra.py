@@ -20,7 +20,9 @@ from qhk.algebra import (
     evaluate_admissible,
     indecomposable_part,
     is_primitive,
+    Monomial,
     mono_from_pairs,
+    mono_mul,
     mono_word,
     normalize,
     reduced_coproduct,
@@ -29,7 +31,8 @@ from qhk.algebra import (
     suspend_gen,
     _tensor_mul,
 )
-from qhk.spaces import RealProj, Sphere, parse_gen
+from qhk.sieve import monomial_basis
+from qhk.spaces import RealProj, SigmaCPplus, Sphere, parse_gen
 from qhk.words import AdmissibleGen, admissible_words
 
 g1 = parse_gen("g1")
@@ -294,3 +297,34 @@ def test_part_splitting():
     xi = el_add(word_el((2,), a1), el_mul(el_gen(a1), el_gen(a2)), EL_ONE)
     assert indecomposable_part(xi) == word_el((2,), a1)
     assert decomposable_part(xi) == el_add(el_mul(el_gen(a1), el_gen(a2)), EL_ONE)
+
+
+def test_merged_product_matches_the_sorting_constructor():
+    P = RealProj()
+    basis = [m for d in range(0, 9) for m in monomial_basis(P, d, 2)] + [MONO_ONE]
+    assert len(basis) > 100
+    for x in basis:
+        for y in basis:
+            got = mono_mul(x, y)
+            assert got == mono_from_pairs(x.factors + y.factors)
+            assert got.degree == x.degree + y.degree
+
+
+def test_merged_product_across_space_kinds():
+    # a3 and c3 share a sort key; the product must still match the
+    # constructor, which keeps such factors in first-seen order
+    c3 = parse_gen("c3")
+    x, y = mono_word(W((), a3)), mono_word(W((), c3))
+    xy = mono_mul(mono_mul(x, y), mono_word(W((), a1)))
+    for a, b in itertools.product((x, y, xy, mono_word(W((), a3), 2)), repeat=2):
+        assert mono_mul(a, b) == mono_from_pairs(a.factors + b.factors)
+
+
+def test_cached_monomial_degree_and_hash():
+    for space in (RealProj(), Sphere(1), SigmaCPplus()):
+        for d in range(0, 11):
+            for m in monomial_basis(space, d, 3):
+                assert m.degree == sum(e * w.degree for w, e in m.factors) == d
+                assert hash(m) == hash(m.factors)
+                twin = Monomial(tuple(m.factors))
+                assert twin == m and hash(twin) == hash(m)

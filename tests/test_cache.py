@@ -98,3 +98,56 @@ def test_cache_path_names_are_filesystem_safe(tmp_path):
     p = cache_path(tmp_path, RealProj(shift=2), 7, 3)
     assert "^" not in p.name
     assert p.suffix == ".qhk"
+
+
+def _encode_raw(space, degree, cap, monomials):
+    """basis_to_bytes without its canonical-form guarantees: each monomial
+    is a list of (ops, generator index, exponent) factors, written as given."""
+    out = bytearray(b"QHK1" + struct.pack("<H", 1))
+    kind = {"sphere": 0, "realproj": 1, "sigmacp": 2}[space.kind]
+    out += struct.pack("<BII", kind, space.dim, space.shift)
+    out += struct.pack("<III", degree, cap, len(monomials))
+    for factors in monomials:
+        out += struct.pack("<I", len(factors))
+        for ops, index, e in factors:
+            out += struct.pack("<III", e, index, len(ops))
+            out += struct.pack(f"<{len(ops)}I", *ops)
+    out += struct.pack("<I", zlib.crc32(bytes(out)))
+    return bytes(out)
+
+
+def test_raw_encoding_of_a_canonical_basis_is_the_real_format():
+    basis = monomial_basis(P, 3, 2)
+    raw = [[(w.ops, w.gen.index, e) for w, e in m.factors] for m in basis]
+    data = _encode_raw(P, 3, 2, raw)
+    assert data == basis_to_bytes(P, 3, 2, basis)
+    assert basis_from_bytes(data) == (P, 3, 2, basis)
+
+
+def test_reordered_factors_are_rejected():
+    # a2*a1 instead of the canonical a1*a2: the CRC is valid, the order is not
+    data = _encode_raw(P, 3, 2, [[((), 2, 1), ((), 1, 1)]])
+    with pytest.raises(CacheError, match="canonical order"):
+        basis_from_bytes(data)
+
+
+def test_repeated_factor_is_rejected():
+    data = _encode_raw(P, 2, 2, [[((), 1, 1), ((), 1, 1)]])
+    with pytest.raises(CacheError, match="canonical order"):
+        basis_from_bytes(data)
+
+
+def test_zero_exponent_is_rejected():
+    data = _encode_raw(P, 3, 2, [[((), 1, 0), ((), 3, 1)]])
+    with pytest.raises(CacheError, match="exponent 0"):
+        basis_from_bytes(data)
+
+
+@pytest.mark.parametrize(
+    "space,index",
+    [(SigmaCPplus(), 2), (S1, 2), (P, 0)],
+)
+def test_generator_outside_the_space_is_rejected(space, index):
+    data = _encode_raw(space, 2, 2, [[((), index, 1)]])
+    with pytest.raises(CacheError, match="no generator"):
+        basis_from_bytes(data)

@@ -1,5 +1,6 @@
 """Command line golden tests: parse/print identity, JSON schema, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -133,3 +134,33 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "a1^2\n"
+
+
+# SHA-256 of the `annihilated`, `primitives` and `sieve` JSON listings over P
+# at cap 2, concatenated in that order.  Kernel bases do not depend on how
+# the image columns are numbered or on the hash seed, so these bytes are fixed.
+LISTING_DIGESTS = {
+    1: "48cb44d876aefd1ae808c8d8d2bc1fad18c662e54327ff5c0ca746a7a110862d",
+    2: "8da65644d6ad8750865aa85c95340371e8cda7d2cbf7488f2c6293736eaf423a",
+    3: "239da686bf463ae96ffd74f9f4c65fee86ba20e5409e3f14d3a24dd472fe8e96",
+    4: "6f87b0472f6c485a182270d16a2ea871bc94e296148f38bbffbbc0e5e63f77b2",
+    5: "547121f8aae002169b3c2cc960d52f1c7eedfafdb0d5a6994879a338a24f7080",
+    6: "6e69d9b7ddea14eed7e8ca1ff68ab665c3c29136f6fb75f04987d1bc47b7e445",
+    7: "796265d9ae3155c7df01bdd1a7ac847f58f98d505028b3afbec9fade46e1c6e4",
+    8: "913ac7a2e7d27b98ccc90b3afedf16dfacfd34a4c2d900c2fd112e49b25492b1",
+    9: "682bc4c8cd35138280b7fa56d006632ce084c2d0d33c3b2821db988bfcb0963e",
+    10: "b3cfd7f1f3e65ae707b8a22d115bf9504ac86a5b885933c71f9adc44dbd25fad",
+}
+
+
+@pytest.mark.parametrize("degree", sorted(LISTING_DIGESTS))
+def test_subspace_listings_are_byte_stable(capsys, degree):
+    text = ""
+    for command in ("annihilated", "primitives", "sieve"):
+        code, out, _ = run(
+            capsys, command, "--space", "P", "--degree", str(degree),
+            "--max-length", "2", "--format", "json",
+        )
+        assert code == 0
+        text += out
+    assert hashlib.sha256(text.encode()).hexdigest() == LISTING_DIGESTS[degree]

@@ -10,8 +10,9 @@ from qhk.sieve import (
     VerifyReport,
     annihilated_subspace,
     check_curtis_bound,
-    f2_kernel,
+    _coproduct_images,
     _map_kernel,
+    _steenrod_images,
     monomial_basis,
     primitive_subspace,
     run_verifier,
@@ -32,22 +33,22 @@ S1 = Sphere(1)
 
 # -- kernels -------------------------------------------------------------------
 
-def test_f2_kernel_example():
-    assert f2_kernel([[1, 1, 0], [0, 1, 1]]) == {(1, 1, 1)}
+def _columns(rows):
+    """The 0/1 matrix with these rows, as _map_kernel's column bitmasks."""
+    return [sum(r[j] << k for k, r in enumerate(rows)) for j in range(len(rows[0]))]
 
 
-def test_f2_kernel_extremes():
-    assert f2_kernel([[1, 0], [0, 1]]) == set()
-    assert f2_kernel([[0, 0, 0]]) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
+def _vectors(masks, n):
+    return {tuple((mask >> j) & 1 for j in range(n)) for mask in masks}
 
 
-def test_f2_kernel_rejects_bad_input():
-    with pytest.raises(ValueError):
-        f2_kernel([])
-    with pytest.raises(ValueError):
-        f2_kernel([[1, 0], [1]])
-    with pytest.raises(ValueError):
-        f2_kernel([[2, 0]])
+def test_map_kernel_example():
+    assert _vectors(_map_kernel(_columns([[1, 1, 0], [0, 1, 1]])), 3) == {(1, 1, 1)}
+
+
+def test_map_kernel_extremes():
+    assert _map_kernel(_columns([[1, 0], [0, 1]])) == []
+    assert _vectors(_map_kernel(_columns([[0, 0, 0]])), 3) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
 
 
 def _brute_kernel(rows):
@@ -59,14 +60,15 @@ def _brute_kernel(rows):
     return out
 
 
-def test_f2_kernel_against_brute_force():
+def test_map_kernel_against_brute_force():
     import random
 
     rng = random.Random(7)
     for _ in range(40):
         n = rng.randint(1, 5)
         rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(rng.randint(1, 4))]
-        basis = f2_kernel(rows)
+        masks = _map_kernel(_columns(rows))
+        basis = _vectors(masks, n)
         # every basis vector lies in the kernel
         for v in basis:
             assert all(sum(r[j] * v[j] for j in range(n)) % 2 == 0 for r in rows)
@@ -75,6 +77,38 @@ def test_f2_kernel_against_brute_force():
         for v in basis:
             span |= {tuple(a ^ b for a, b in zip(s, v)) for s in span}
         assert span == _brute_kernel(rows)
+        # and is independent
+        assert 2 ** len(masks) == len(span)
+
+
+def _permute_bits(mask, perm):
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << perm[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def test_map_kernel_ignores_column_numbering():
+    import random
+
+    rng = random.Random(11)
+    cases = [
+        [rng.getrandbits(ncols) for _ in range(nrows)]
+        for nrows, ncols in ((1, 1), (6, 3), (12, 12), (30, 20), (40, 64))
+        for _ in range(10)
+    ]
+    # the sieve's own images, whose kernels are long and dense
+    cases.append(list(_coproduct_images(P, 9, 2)))
+    cases.append(list(_steenrod_images(S1, 12, 3)))
+    for images in cases:
+        ncols = max((im.bit_length() for im in images), default=0)
+        want = _map_kernel(images)
+        for _ in range(5):
+            perm = list(range(ncols))
+            rng.shuffle(perm)
+            assert _map_kernel([_permute_bits(im, perm) for im in images]) == want
 
 
 def test_map_kernel_small():

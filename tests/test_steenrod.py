@@ -7,6 +7,7 @@ import pytest
 from qhk.adem import admissible_expansion
 from qhk.algebra import (
     EL_ZERO,
+    coproduct,
     el_add,
     el_gen,
     el_mul,
@@ -14,6 +15,7 @@ from qhk.algebra import (
     mono_word,
     normalize,
 )
+from qhk.sieve import monomial_basis
 from qhk.spaces import RealProj, Sphere, parse_gen, sq_down_gen
 from qhk.steenrod import (
     element_is_A_annihilated,
@@ -240,3 +242,24 @@ def test_suspension_is_stable_under_the_action():
                     if a >= degree:
                         continue
                     assert suspend(sq_down(a, el)) == sq_down(a, suspend(el))
+
+
+def test_coproduct_commutes_with_the_steenrod_action():
+    # psi(Sq^r x) = sum_i (Sq^i (x) Sq^{r-i}) psi(x): ties algebra.coproduct
+    # to steenrod.sq_down; both sides multiply through algebra.mono_mul
+    cases = 0
+    for space in (RealProj(), Sphere(1)):
+        for degree in range(1, 9):
+            for m in monomial_basis(space, degree, 2):
+                psi = coproduct(frozenset({m}))
+                for r in range(1, degree + 1):
+                    lhs = coproduct(sq_down(r, frozenset({m})))
+                    rhs: set = set()
+                    for left, right in psi:
+                        for i in range(r + 1):
+                            for ml in sq_down(i, frozenset({left})):
+                                for mr in sq_down(r - i, frozenset({right})):
+                                    rhs ^= {(ml, mr)}
+                    assert lhs == frozenset(rhs), (m, r)
+                    cases += 1
+    assert cases > 500

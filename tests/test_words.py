@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from qhk.spaces import RealProj, Sphere, generators, parse_gen
+from qhk.spaces import RealProj, SigmaCPplus, Sphere, gen_degree, gen_sort_key, generators, parse_gen
 from qhk.words import (
     AdmissibleGen,
     admissible_words,
@@ -144,3 +144,26 @@ def test_word_sort_key_orders_by_length_first():
     w1 = AdmissibleGen((17,), g1)
     w2 = AdmissibleGen((9, 5), g1)
     assert word_sort_key(w1) < word_sort_key(w2)
+
+
+def test_cached_degree_key_and_hash_match_fresh_values():
+    seen = 0
+    for space in (RealProj(), Sphere(1), SigmaCPplus()):
+        for degree in range(1, 17):
+            for w in admissible_words(space, degree, 4):
+                gen_deg = gen_degree(w.gen)
+                assert w.degree == word_degree(w.ops, gen_deg) == degree
+                assert word_sort_key(w) == (len(w.ops), lower_entries(w.ops, gen_deg), gen_sort_key(w.gen))
+                assert hash(w) == hash((w.ops, w.gen))
+                # a separately built copy is equal and hashes alike
+                twin = AdmissibleGen(tuple(w.ops), w.gen)
+                assert twin == w and hash(twin) == hash(w)
+                seen += 1
+    assert seen > 150
+
+
+def test_words_are_frozen_and_slotted():
+    w = AdmissibleGen((3,), g1)
+    with pytest.raises(AttributeError):
+        w.degree = 5
+    assert not hasattr(w, "__dict__")
