@@ -286,7 +286,6 @@ def _tensor_pow(a: TensorElement, e: int) -> TensorElement:
     return out
 
 
-@lru_cache(maxsize=None)
 def _coproduct_mono(m: Monomial) -> TensorElement:
     out = TENSOR_ONE
     for w, e in m.factors:

@@ -19,13 +19,16 @@ The encoding of a basis is canonical (the enumeration order of
 monomial_basis, factors in their stored ascending order), so writing the
 same basis twice gives identical bytes; the round-trip test relies on it.
 Decoding accepts only that canonical form: every generator lives on the
-file's space, every exponent is positive, and the factors of a monomial
-are distinct and ascending by word order.  A file that fails any
-validation is ignored with a warning and the basis is recomputed.
+file's space, every exponent is positive, the factors of a monomial are
+distinct and ascending by word order, and no monomial is listed twice.  A
+file that fails any validation is ignored with a warning and the basis is
+recomputed.  Files are written to a temporary name in the same directory
+and renamed into place, so a reader never sees a partial file.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 import sys
 import zlib
@@ -110,6 +113,8 @@ def basis_from_bytes(data: bytes) -> tuple[Space, int, int, tuple[Monomial, ...]
         raise CacheError(str(err)) from err
     if pos != body_end:
         raise CacheError("trailing bytes before checksum")
+    if len(set(basis)) != len(basis):
+        raise CacheError("a monomial is listed twice")
     return space, degree, max_len, tuple(basis)
 
 
@@ -132,5 +137,10 @@ def load_or_compute(cache_dir: str | Path, space: Space, degree: int, max_len: i
             print(f"warning: ignoring cache {path}: {err}", file=sys.stderr)
     basis = monomial_basis(space, degree, max_len)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(basis_to_bytes(space, degree, max_len, basis))
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(basis_to_bytes(space, degree, max_len, basis))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return basis

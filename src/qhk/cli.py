@@ -82,7 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", type=_space_arg, required=True)
     p.add_argument("--max-degree", type=_positive)
     p.add_argument("--max-length", type=_positive, default=2)
-    p.add_argument("--max-vectors", type=_positive, default=64)
+    p.add_argument(
+        "--max-vectors", type=_positive, default=64, help="members sampled per degree (theorem 2)"
+    )
 
     return parser
 

@@ -151,3 +151,29 @@ def test_generator_outside_the_space_is_rejected(space, index):
     data = _encode_raw(space, 2, 2, [[((), index, 1)]])
     with pytest.raises(CacheError, match="no generator"):
         basis_from_bytes(data)
+
+
+def test_repeated_monomial_is_rejected(tmp_path, capsys):
+    # a3 listed twice: every factor is canonical and the CRC is valid
+    data = _encode_raw(P, 3, 2, [[((), 3, 1)], [((), 3, 1)]])
+    with pytest.raises(CacheError, match="listed twice"):
+        basis_from_bytes(data)
+    path = cache_path(tmp_path, P, 3, 2)
+    path.write_bytes(data)
+    assert load_or_compute(tmp_path, P, 3, 2) == monomial_basis(P, 3, 2)
+    assert "listed twice" in capsys.readouterr().err
+    assert path.read_bytes() == basis_to_bytes(P, 3, 2, monomial_basis(P, 3, 2))
+
+
+def test_writes_go_through_a_renamed_temporary_file(tmp_path, monkeypatch):
+    load_or_compute(tmp_path, P, 4, 2)
+    assert [p.name for p in tmp_path.iterdir()] == [cache_path(tmp_path, P, 4, 2).name]
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr("qhk.cache.os.replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        load_or_compute(tmp_path / "fresh", P, 5, 2)
+    # the file was never written under its own name, and the temporary is gone
+    assert list((tmp_path / "fresh").iterdir()) == []

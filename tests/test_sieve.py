@@ -1,10 +1,12 @@
 """Kernel machinery and the desk-scale verifiers."""
 
+import hashlib
 import itertools
 
 import pytest
 
-from qhk.algebra import el_add, indecomposable_part, is_primitive
+from qhk.algebra import _coproduct_mono, el_add, indecomposable_part, is_primitive
+from qhk.cache import basis_to_bytes
 from qhk.exprs import format_element, parse_element
 from qhk.sieve import (
     VerifyReport,
@@ -23,7 +25,7 @@ from qhk.sieve import (
     verify_spherical_form,
     verify_suspension_factorization,
 )
-from qhk.spaces import RealProj, Sphere
+from qhk.spaces import RealProj, SigmaCPplus, Sphere
 from qhk.steenrod import element_is_A_annihilated
 from qhk.words import admissible_words
 
@@ -149,6 +151,16 @@ def test_monomial_basis_matches_brute_force():
             assert all(m.degree == degree for m in basis)
 
 
+def test_monomial_basis_enumeration_order_is_pinned():
+    # the cache bytes of every basis over P, S1, SCP and P^s1 at cap 2,
+    # degrees 1-10, as the unpruned enumeration wrote them
+    h = hashlib.sha256()
+    for space in (P, S1, SigmaCPplus(), RealProj(shift=1)):
+        for degree in range(1, 11):
+            h.update(basis_to_bytes(space, degree, 2, monomial_basis(space, degree, 2)))
+    assert h.hexdigest() == "13d9f4a3e8fbb035399626bfe8fcdec7e3defab88bef925c826ff61d1a8868aa"
+
+
 def test_monomial_basis_small_counts():
     # hand counts over the circle: degree 3 has Q^2 g1 and g1^3
     assert len(monomial_basis(S1, 1, 3)) == 1
@@ -248,6 +260,17 @@ def test_verify_spherical_form_records_the_degree_three_class():
     assert rep.ok and not rep.excluded
 
 
+def test_verify_spherical_form_checks_every_basis_vector():
+    for space, top, cap in ((P, 9, 2), (S1, 10, 3)):
+        rep = verify_spherical_form(space, top, cap)
+        assert rep.ok
+        assert rep.bounds == {"max_degree": top, "max_length": cap}
+        assert rep.checked == sum(
+            len(annihilated_subspace(space, d, cap)) + len(spherical_candidates(space, d, cap))
+            for d in range(1, top + 1)
+        )
+
+
 def test_hidden_witness_for_the_degree_three_class():
     # its leading word Q^2 a1 desuspends to the square of the suspended
     # generator, which is annihilated: the factorization check must accept
@@ -257,7 +280,14 @@ def test_hidden_witness_for_the_degree_three_class():
 
 def test_verify_root_smoke():
     rep = verify_root_compatibility(P, 2, hopf_degree=6, square_degree=6, word_degree=8, primitive_degree=6)
-    assert rep.ok and rep.checked > 0
+    assert rep.ok and rep.checked == 187
+
+
+def test_single_use_functions_keep_no_memo_table():
+    # each is asked once per monomial or degree; only the root verifier
+    # reuses coproducts, and it keeps its own table for the length of a call
+    for fn in (_coproduct_mono, annihilated_subspace, primitive_subspace, spherical_candidates):
+        assert not hasattr(fn, "cache_info"), fn.__name__
 
 
 def test_run_verifier_dispatch():
