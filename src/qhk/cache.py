@@ -20,7 +20,8 @@ monomial_basis, factors in their stored ascending order), so writing the
 same basis twice gives identical bytes; the round-trip test relies on it.
 Decoding accepts only that canonical form: every generator lives on the
 file's space, every exponent is positive, the factors of a monomial are
-distinct and ascending by word order, and no monomial is listed twice.  A
+distinct and ascending by word order, and the monomials are distinct and
+in the enumeration order of monomial_basis (checked by its order key).  A
 file that fails any validation is ignored with a warning and the basis is
 recomputed.  Files are written to a temporary name in the same directory
 and renamed into place, so a reader never sees a partial file.
@@ -35,7 +36,7 @@ import zlib
 from pathlib import Path
 
 from .algebra import Monomial, mono_from_pairs
-from .sieve import monomial_basis
+from .sieve import basis_order_key, monomial_basis
 from .spaces import REALPROJ, SIGMACP, SPHERE, Generator, Space, gen_degree, generators, space_name
 from .words import AdmissibleGen
 
@@ -113,8 +114,12 @@ def basis_from_bytes(data: bytes) -> tuple[Space, int, int, tuple[Monomial, ...]
         raise CacheError(str(err)) from err
     if pos != body_end:
         raise CacheError("trailing bytes before checksum")
-    if len(set(basis)) != len(basis):
-        raise CacheError("a monomial is listed twice")
+    keys = [basis_order_key(m) for m in basis]
+    for earlier, later in zip(keys, keys[1:]):
+        if earlier == later:
+            raise CacheError("a monomial is listed twice")
+        if earlier < later:
+            raise CacheError("monomials out of enumeration order")
     return space, degree, max_len, tuple(basis)
 
 

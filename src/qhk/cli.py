@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .cache import load_or_compute
 from .exprs import ExprError, element_to_json, format_element, parse_element
@@ -89,9 +90,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _indented_json(obj, indent: str = "") -> str:
+    """json.dumps(obj, indent=2), byte for byte.  With an indent set,
+    json.dumps falls back to CPython's pure-Python encoder; this writer
+    leaves only the scalars to json.  Dictionary keys are strings."""
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        items = [f"{inner}{_json_str(k)}: {_indented_json(v, inner)}" for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        items = [inner + _indented_json(v, inner) for v in obj]
+        return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+    if isinstance(obj, str):
+        return _json_str(obj)
+    if type(obj) is int:
+        return repr(obj)
+    return json.dumps(obj)
+
+
 def _print_element(el, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(element_to_json(el), indent=2))
+        print(_indented_json(element_to_json(el)))
     else:
         print(format_element(el))
 
@@ -105,7 +129,7 @@ def _print_subspace(args, label: str, basis) -> None:
             "dimension": len(basis),
             label: [element_to_json(el) for el in basis],
         }
-        print(json.dumps(payload, indent=2))
+        print(_indented_json(payload))
     else:
         for el in basis:
             print(format_element(el))
@@ -158,7 +182,7 @@ def main(argv=None) -> int:
             args.theorem, args.space, args.max_degree, args.max_length, args.max_vectors
         )
         if args.format == "json":
-            print(json.dumps(report.to_json(), indent=2))
+            print(_indented_json(report.to_json()))
         else:
             verdict = "PASS" if report.ok else "FAIL"
             print(

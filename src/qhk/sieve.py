@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
 
 from .algebra import (
     EL_ZERO,
+    MONO_ONE,
     Element,
     Monomial,
     _tensor_mul,
@@ -31,6 +33,7 @@ from .algebra import (
     el_mul,
     el_square,
     indecomposable_part,
+    mono_from_pairs,
     mono_word,
     normalize,
     reduced_coproduct,
@@ -100,46 +103,169 @@ def monomial_basis(space: Space, degree: int, max_len: int) -> tuple[Monomial, .
     return tuple(out)
 
 
+def basis_order_key(m: Monomial) -> tuple:
+    """monomial_basis lists a degree in strictly descending order of this
+    key.  It takes the words by ascending (degree, word key) and tries each
+    exponent 0 first, then 1, 2, ...: of two monomials, the later one has
+    the larger exponent at the first word where the two differ."""
+    return tuple(sorted((w.degree, w.sort_key, -e) for w, e in m.factors))
+
+
+# -- packed images -------------------------------------------------------------
+#
+# Both image passes multiply, factor by factor, the images of the words of a
+# basis monomial.  Within one degree that arithmetic runs on packed
+# exponent vectors: a term is one int, so a product of two terms is an add.
+
+class _DegreePacking:
+    """One exponent field for each word of degree <= d (length capped), and
+    every term of an image packed into one int with fields
+
+        [low | left exponents | right exponents]
+
+    from the least significant bit up.  The low field holds the Steenrod
+    index of a term, or the left degree of a tensor term; the right
+    exponents are empty for the Steenrod action.  Every term met is a term
+    of some product of degree <= d, so its low field is at most d and the
+    exponent of a word w at most d // deg w: fields of those widths never
+    overflow.  Multiplying two terms adds their ints, and squaring one
+    doubles it (Frobenius is additive mod 2).
+
+    `word_terms(w)` gives the (low, left, right) terms of one word's image.
+    Products drop every term whose low field exceeds `top`: low fields only
+    grow under products, so no dropped term could have come back below it.
+    A monomial's image keeps the terms whose low field passes `keep`.  The
+    state lives as long as one image call."""
+
+    def __init__(
+        self, space: Space, degree: int, max_len: int, word_terms, top: int, keep
+    ) -> None:
+        self.low = (1 << degree.bit_length()) - 1
+        # word -> (shift, mask) of its exponent field on the left side
+        self.fields: dict[AdmissibleGen, tuple[int, int]] = {}
+        pos = degree.bit_length()
+        for d in range(1, degree + 1):
+            width = (degree // d).bit_length()
+            for w in admissible_words(space, d, max_len):
+                self.fields[w] = (pos, (1 << width) - 1)
+                pos += width
+        self.right = pos - degree.bit_length()
+        self.top = top
+        self.keep = keep
+        self._word_terms = word_terms
+        self._powers: dict[tuple[AdmissibleGen, int], list[int]] = {}
+
+    def pack(self, low: int, left: Monomial, right: Monomial = MONO_ONE) -> int:
+        x = low
+        for w, e in left.factors:
+            x += e << self.fields[w][0]
+        for w, e in right.factors:
+            x += e << (self.fields[w][0] + self.right)
+        return x
+
+    def unpack(self, x: int) -> tuple[int, Monomial, Monomial]:
+        """The low field and the left and right monomials of a term."""
+        sides = []
+        for off in (0, self.right):
+            pairs = []
+            for w, (shift, mask) in self.fields.items():
+                e = (x >> (shift + off)) & mask
+                if e:
+                    pairs.append((w, e))
+            sides.append(mono_from_pairs(pairs))
+        return x & self.low, sides[0], sides[1]
+
+    def _times(self, xs: list[int], ys: list[int]) -> list[int]:
+        low, top = self.low, self.top
+        counts = Counter(z for x in xs for y in ys if (z := x + y) & low <= top)
+        return [z for z, n in counts.items() if n & 1]
+
+    def _power(self, w: AdmissibleGen, e: int) -> list[int]:
+        key = (w, e)
+        if key not in self._powers:
+            if e == 1:
+                terms = [self.pack(*t) for t in self._word_terms(w)]
+            else:
+                # the terms of (w^h)^2 are those of w^h, doubled
+                terms = [x << 1 for x in self._power(w, e >> 1)]
+                if e & 1:
+                    terms = self._times(terms, self._power(w, 1))
+            low, top = self.low, self.top
+            self._powers[key] = [x for x in terms if x & low <= top]
+        return self._powers[key]
+
+    def terms(self, m: Monomial) -> list[int]:
+        """The kept terms of a monomial's image, the product over its
+        factors."""
+        out = [0]
+        for w, e in m.factors:
+            out = self._times(out, self._power(w, e))
+        low, keep = self.low, self.keep
+        return [x for x in out if keep(x & low)]
+
+    def images(self, basis: tuple[Monomial, ...]) -> tuple[int, ...]:
+        """Each monomial's image as a bitmask over its kept terms, numbered
+        in order of first appearance: kernels do not depend on the column
+        numbering (see _map_kernel)."""
+        columns: dict[int, int] = {}
+        out = []
+        for m in basis:
+            cols = [columns.setdefault(x, len(columns)) for x in self.terms(m)]
+            # set the bits in a byte buffer: one big-int shift per column
+            # would copy the whole mask each time
+            buf = bytearray((max(cols, default=0) >> 3) + 1)
+            for c in cols:
+                buf[c >> 3] |= 1 << (c & 7)
+            out.append(int.from_bytes(buf, "little"))
+        return tuple(out)
+
+
+def _steenrod_packing(space: Space, degree: int, max_len: int) -> _DegreePacking:
+    """The total Steenrod image is multiplicative (Cartan), so a monomial's
+    is the product of its factors' images, cut at the largest 2^k below the
+    degree; the terms of index 2^k are kept."""
+    top = 1 << (degree - 1).bit_length() >> 1
+
+    def word_terms(w: AdmissibleGen):
+        el = frozenset({mono_word(w)})
+        return ((a, t) for a in range(min(top, w.degree) + 1) for t in sq_down(a, el))
+
+    return _DegreePacking(
+        space, degree, max_len, word_terms, top, lambda a: a and not a & (a - 1)
+    )
+
+
+def _coproduct_packing(space: Space, degree: int, max_len: int) -> _DegreePacking:
+    """Half of the reduced coproduct: the tensor terms l (x) r with
+    0 < deg l <= degree // 2.  The reduced coproduct is cocommutative, so its
+    other half is the twist of this one, and the two have the same kernel."""
+
+    def word_terms(w: AdmissibleGen):
+        m = mono_word(w)
+        # the unit terms carry the word to either side of a product
+        pairs = reduced_coproduct(frozenset({m})) | {(m, MONO_ONE), (MONO_ONE, m)}
+        return ((l.degree, l, r) for l, r in pairs)
+
+    return _DegreePacking(space, degree, max_len, word_terms, degree // 2, bool)
+
+
 # The images of one degree are shared by the three subspaces of that degree
 # and dropped when another degree is asked for.
 
 @lru_cache(maxsize=1)
 def _steenrod_images(space: Space, degree: int, max_len: int) -> tuple[int, ...]:
     """Stacked images of every basis monomial under all Sq^{2^k} below the
-    degree, as bitmasks over the concatenated target bases."""
-    basis = monomial_basis(space, degree, max_len)
-    ops = []
-    a = 1
-    while a < degree:
-        target = monomial_basis(space, degree - a, max_len)
-        ops.append((a, {m: i for i, m in enumerate(target)}, len(target)))
-        a *= 2
-    images = []
-    for m in basis:
-        mask = 0
-        off = 0
-        for a, index, size in ops:
-            for mm in sq_down(a, frozenset({m})):
-                mask |= 1 << (off + index[mm])
-            off += size
-        images.append(mask)
-    return tuple(images)
+    degree, as bitmasks over their packed terms."""
+    packing = _steenrod_packing(space, degree, max_len)
+    return packing.images(monomial_basis(space, degree, max_len))
 
 
 @lru_cache(maxsize=1)
 def _coproduct_images(space: Space, degree: int, max_len: int) -> tuple[int, ...]:
-    """Reduced coproducts of every basis monomial, as bitmasks over the
-    tensor pairs numbered in order of first appearance.  That numbering
-    follows set iteration order, which is harmless: kernels do not depend
-    on the column numbering (see _map_kernel)."""
-    columns: dict[tuple[Monomial, Monomial], int] = {}
-    images = []
-    for m in monomial_basis(space, degree, max_len):
-        mask = 0
-        for pair in reduced_coproduct(frozenset({m})):
-            mask |= 1 << columns.setdefault(pair, len(columns))
-        images.append(mask)
-    return tuple(images)
+    """Half of the reduced coproduct of every basis monomial, as bitmasks
+    over its packed tensor terms."""
+    packing = _coproduct_packing(space, degree, max_len)
+    return packing.images(monomial_basis(space, degree, max_len))
 
 
 def _kernel_elements(

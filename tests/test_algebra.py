@@ -199,6 +199,19 @@ def test_coproduct_of_powers_uses_binomial_parities():
     })
 
 
+@pytest.mark.parametrize("cap", [2, 3])
+def test_reduced_coproduct_is_cocommutative(cap):
+    # the sieve keeps only the half of each reduced coproduct with
+    # deg l <= deg / 2; that has the same kernel because of this symmetry
+    spaces = (RealProj(), Sphere(1), Sphere(2), SigmaCPplus(), RealProj(shift=1),
+              SigmaCPplus(shift=1))
+    for space in spaces:
+        for degree in range(1, 11):
+            for m in monomial_basis(space, degree, cap):
+                red = reduced_coproduct(frozenset({m}))
+                assert red == frozenset((r, l) for l, r in red), m
+
+
 def test_three_dimensional_primitive_over_p():
     # Q^2 a1 + a1 a2 + a1^3 + a3 is primitive: the interior diagonal terms
     # cancel in pairs

@@ -177,3 +177,16 @@ def test_writes_go_through_a_renamed_temporary_file(tmp_path, monkeypatch):
         load_or_compute(tmp_path / "fresh", P, 5, 2)
     # the file was never written under its own name, and the temporary is gone
     assert list((tmp_path / "fresh").iterdir()) == []
+
+
+def test_basis_out_of_enumeration_order_is_rejected(tmp_path, capsys):
+    # every monomial canonical and distinct, the CRC valid, the order reversed
+    basis = monomial_basis(P, 4, 2)
+    data = basis_to_bytes(P, 4, 2, tuple(reversed(basis)))
+    with pytest.raises(CacheError, match="enumeration order"):
+        basis_from_bytes(data)
+    path = cache_path(tmp_path, P, 4, 2)
+    path.write_bytes(data)
+    assert load_or_compute(tmp_path, P, 4, 2) == basis
+    assert "enumeration order" in capsys.readouterr().err
+    assert path.read_bytes() == basis_to_bytes(P, 4, 2, basis)

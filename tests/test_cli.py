@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from qhk.cache import cache_path
-from qhk.cli import main
+from qhk.cli import _indented_json, main
 from qhk.spaces import RealProj
 
 
@@ -164,3 +164,36 @@ def test_subspace_listings_are_byte_stable(capsys, degree):
         assert code == 0
         text += out
     assert hashlib.sha256(text.encode()).hexdigest() == LISTING_DIGESTS[degree]
+
+
+def test_indented_json_writer_matches_json_dumps(capsys):
+    # real payloads: listings (some of dimension 0), elements (the zero
+    # element too) and verifier reports (with and without failures)
+    texts = []
+    for command in ("basis", "annihilated", "primitives", "sieve"):
+        for degree in (1, 3, 5, 6):
+            code, out, _ = run(
+                capsys, command, "--space", "P", "--degree", str(degree), "--format", "json"
+            )
+            texts.append(out)
+    for expr in ("Q^9 Q^5 g1", "Q^1 a2", "a1 + a1"):
+        code, out, _ = run(capsys, "normalize", "--format", "json", expr)
+        texts.append(out)
+    code, out, _ = run(capsys, "act", "--format", "json", "--sq", "1", "a1^2")
+    texts.append(out)
+    code, out, _ = run(
+        capsys, "verify", "--theorem", "3", "--space", "P", "--max-degree", "5", "--format", "json"
+    )
+    texts.append(out)
+    payloads = [json.loads(t) for t in texts]
+    assert {"terms": []} in payloads
+    assert any(p.get("dimension") == 0 for p in payloads)
+    for text, payload in zip(texts, payloads):
+        assert text == json.dumps(payload, indent=2) + "\n"
+    report = payloads[-1]
+    payloads += [
+        dict(report, failures=["a \"quoted\" failure", "caf\u00e9 \\ tab\t"], excluded=[]),
+        {}, [], {"a": [], "b": {}, "c": [[]], "d": True, "e": None, "f": -3},
+    ]
+    for payload in payloads:
+        assert _indented_json(payload) == json.dumps(payload, indent=2)

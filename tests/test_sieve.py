@@ -5,7 +5,15 @@ import itertools
 
 import pytest
 
-from qhk.algebra import _coproduct_mono, el_add, indecomposable_part, is_primitive
+from qhk.algebra import (
+    MONO_ONE,
+    _coproduct_mono,
+    el_add,
+    indecomposable_part,
+    is_primitive,
+    mono_word,
+    reduced_coproduct,
+)
 from qhk.cache import basis_to_bytes
 from qhk.exprs import format_element, parse_element
 from qhk.sieve import (
@@ -13,8 +21,11 @@ from qhk.sieve import (
     annihilated_subspace,
     check_curtis_bound,
     _coproduct_images,
+    _coproduct_packing,
     _map_kernel,
     _steenrod_images,
+    _steenrod_packing,
+    basis_order_key,
     monomial_basis,
     primitive_subspace,
     run_verifier,
@@ -26,11 +37,12 @@ from qhk.sieve import (
     verify_suspension_factorization,
 )
 from qhk.spaces import RealProj, SigmaCPplus, Sphere
-from qhk.steenrod import element_is_A_annihilated
+from qhk.steenrod import element_is_A_annihilated, sq_down
 from qhk.words import admissible_words
 
 P = RealProj()
 S1 = Sphere(1)
+SPACES = (P, S1, Sphere(2), SigmaCPplus(), RealProj(shift=1), SigmaCPplus(shift=1))
 
 
 # -- kernels -------------------------------------------------------------------
@@ -161,11 +173,107 @@ def test_monomial_basis_enumeration_order_is_pinned():
     assert h.hexdigest() == "13d9f4a3e8fbb035399626bfe8fcdec7e3defab88bef925c826ff61d1a8868aa"
 
 
+def test_basis_order_key_descends_along_the_enumeration():
+    for space in SPACES:
+        for cap, top in ((2, 10), (3, 9)):
+            for degree in range(1, top + 1):
+                keys = [basis_order_key(m) for m in monomial_basis(space, degree, cap)]
+                assert all(a > b for a, b in zip(keys, keys[1:])), (space, degree, cap)
+
+
 def test_monomial_basis_small_counts():
     # hand counts over the circle: degree 3 has Q^2 g1 and g1^3
     assert len(monomial_basis(S1, 1, 3)) == 1
     assert len(monomial_basis(S1, 2, 3)) == 1
     assert len(monomial_basis(S1, 3, 3)) == 2
+
+
+# -- packed images against the Element layer -----------------------------------
+
+def _powers_of_two_below(degree):
+    a = 1
+    while a < degree:
+        yield a
+        a *= 2
+
+
+def _check_packed_terms(space, degree, cap, monomials):
+    st = _steenrod_packing(space, degree, cap)
+    cp = _coproduct_packing(space, degree, cap)
+    for m in monomials:
+        terms = st.terms(m)
+        assert len(set(terms)) == len(terms)
+        got: dict = {}
+        for x in terms:
+            a, left, right = st.unpack(x)
+            assert right == MONO_ONE
+            got.setdefault(a, set()).add(left)
+        want = {a: set(sq_down(a, frozenset({m}))) for a in _powers_of_two_below(degree)}
+        assert got == {a: t for a, t in want.items() if t}, m
+        terms = cp.terms(m)
+        assert len(set(terms)) == len(terms)
+        got_pairs = set()
+        for x in terms:
+            low, left, right = cp.unpack(x)
+            assert low == left.degree
+            got_pairs.add((left, right))
+        want_pairs = {
+            (l, r) for l, r in reduced_coproduct(frozenset({m})) if 0 < l.degree <= degree // 2
+        }
+        assert got_pairs == want_pairs, m
+
+
+def _element_images(space, degree, cap):
+    """The Steenrod and reduced-coproduct images of each basis monomial,
+    computed term by term in the Element layer, as bitmasks."""
+    st_cols: dict = {}
+    cp_cols: dict = {}
+    st, cp = [], []
+    for m in monomial_basis(space, degree, cap):
+        mask = 0
+        for a in _powers_of_two_below(degree):
+            for t in sq_down(a, frozenset({m})):
+                mask |= 1 << st_cols.setdefault((a, t), len(st_cols))
+        st.append(mask)
+        mask = 0
+        for pair in reduced_coproduct(frozenset({m})):
+            mask |= 1 << cp_cols.setdefault(pair, len(cp_cols))
+        cp.append(mask)
+    return st, cp
+
+
+def _elements(space, degree, cap, masks):
+    basis = monomial_basis(space, degree, cap)
+    return tuple(
+        frozenset(basis[i] for i in range(len(basis)) if (mask >> i) & 1) for mask in masks
+    )
+
+
+@pytest.mark.parametrize(
+    "space,cap,top", [(space, 2, 10) for space in SPACES] + [(P, 3, 9), (S1, 3, 9)]
+)
+def test_packed_images_match_the_element_layer(space, cap, top):
+    for degree in range(1, top + 1):
+        _check_packed_terms(space, degree, cap, monomial_basis(space, degree, cap))
+        st, cp = _element_images(space, degree, cap)
+        shift = max((im.bit_length() for im in st), default=0)
+        assert annihilated_subspace(space, degree, cap) == _elements(
+            space, degree, cap, _map_kernel(st)
+        )
+        assert primitive_subspace(space, degree, cap) == _elements(
+            space, degree, cap, _map_kernel(cp)
+        )
+        assert spherical_candidates(space, degree, cap) == _elements(
+            space, degree, cap, _map_kernel([a | (b << shift) for a, b in zip(st, cp)])
+        )
+
+
+def test_packed_fields_hold_the_largest_exponents():
+    # a1^d has the widest exponent field of its degree, and its Steenrod and
+    # coproduct images have the most terms of low word degree
+    a1 = monomial_basis(P, 1, 2)[0].factors[0][0]
+    for degree in range(1, 21):
+        _check_packed_terms(P, degree, 2, [mono_word(a1, degree)])
 
 
 # -- known subspaces at degree 3 over the projective space ----------------------
