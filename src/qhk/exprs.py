@@ -5,14 +5,16 @@ Grammar (whitespace free):
     expr   := term ('+' term)*
     term   := factor (('*' | nothing) factor)*
     factor := 'Q^'<nat> factor | atom ('^'<nat>)?
-    atom   := generator | '(' expr ')'
+    atom   := generator | '1' | '(' expr ')'
 
 so ``Q^2 a1^3`` is Q^2 applied to the cube, and operations bind the whole
-next factor.  Generator tokens look like g3, a5, c7, optionally carrying a
-suspension suffix (a5^s2); the lexer tells ``^s2`` (shift) and ``^2``
-(exponent) apart.  Parsing evaluates on the spot, so the result is always
-in basis form; an operation applied to an inhomogeneous sum is refused
-(evaluating it termwise would be fine, but it is almost always a typo).
+next factor.  The unit ``1`` is an atom, so every printed element parses
+back (``a1 + 1``); ``0`` is accepted only as the whole input.  Generator
+tokens look like g3, a5, c7, optionally carrying a suspension suffix
+(a5^s2); the lexer tells ``^s2`` (shift) and ``^2`` (exponent) apart.
+Parsing evaluates on the spot, so the result is always in basis form; an
+operation applied to an inhomogeneous sum is refused (evaluating it
+termwise would be fine, but it is almost always a typo).
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ class ExprError(ValueError):
 
 
 _TOKEN_RE = re.compile(
-    r"(Q\^[0-9]+)|([gac][0-9]+(?:\^s[0-9]+)?)|(\^[0-9]+)|([+*()])|(\s+)|(.)"
+    r"(Q\^[0-9]+)|([gac][0-9]+(?:\^s[0-9]+)?)|(\^[0-9]+)|([+*()]|1(?![0-9]))|(\s+)|(.)"
 )
 
 
@@ -117,7 +119,7 @@ class _Parser:
             if kind == "*":
                 self.take()
                 el = el_mul(el, self.factor())
-            elif kind in ("q", "gen", "("):
+            elif kind in ("q", "gen", "(", "1"):
                 el = el_mul(el, self.factor())
             else:
                 return el
@@ -150,20 +152,20 @@ class _Parser:
                     f"generator {value} does not live on {space_name(self.space)}", pos
                 )
             return frozenset({mono_word(AdmissibleGen((), g))})
+        if kind == "1":
+            return EL_ONE
         if kind == "(":
             el = self.expr()
             kind2, _, pos2 = self.take()
             if kind2 != ")":
                 raise ExprError("expected ')'", pos2)
             return el
-        raise ExprError(f"expected a generator, 'Q^n' or '(', got {value!r}", pos)
+        raise ExprError(f"expected a generator, '1', 'Q^n' or '(', got {value!r}", pos)
 
 
 def parse_element(text: str, space: Space | None = None) -> Element:
     if text.strip() == "0":
         return EL_ZERO
-    if text.strip() == "1":
-        return EL_ONE
     parser = _Parser(_lex(text), space, len(text))
     el = parser.expr()
     kind, value, pos = parser.peek()
@@ -217,15 +219,37 @@ def element_to_json(el: Element) -> dict:
     return {"terms": terms}
 
 
+def _json_field(obj, key: str, kind: type):
+    """obj[key], which must be there and be of this JSON type."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"element JSON: missing {key!r}")
+    value = obj[key]
+    # bool is an int subclass, but true and false are no JSON numbers
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"element JSON: {key!r} is not a {kind.__name__}: {value!r}")
+    return value
+
+
 def element_from_json(obj: dict) -> Element:
+    """Decode element_to_json's payload.  Anything else is refused with a
+    ValueError: a missing or mistyped field, a generator that does not
+    exist, a word that is inadmissible or of excess below 1, or an exponent
+    below 1.  Terms that repeat cancel in pairs, as in any mod-2 sum."""
     terms: set = set()
-    for term in obj["terms"]:
+    for term in _json_field(obj, "terms", list):
         pairs = []
-        for f in term["factors"]:
-            space = parse_space(f["gen"]["space"])
-            gen = Generator(space, int(f["gen"]["index"]))
-            if gen not in generators(space, gen_degree(gen)):
-                raise ValueError(f"no generator of index {gen.index} on {f['gen']['space']}")
-            pairs.append((AdmissibleGen(tuple(int(i) for i in f["ops"]), gen), int(f["exp"])))
+        for f in _json_field(term, "factors", list):
+            g = _json_field(f, "gen", dict)
+            name = _json_field(g, "space", str)
+            gen = Generator(parse_space(name), _json_field(g, "index", int))
+            if gen not in generators(gen.space, gen_degree(gen)):
+                raise ValueError(f"no generator of index {gen.index} on {name}")
+            ops = _json_field(f, "ops", list)
+            if not all(isinstance(i, int) and not isinstance(i, bool) for i in ops):
+                raise ValueError(f"element JSON: 'ops' are not all integers: {ops!r}")
+            exp = _json_field(f, "exp", int)
+            if exp < 1:
+                raise ValueError(f"element JSON: exponent {exp} below 1")
+            pairs.append((AdmissibleGen(tuple(ops), gen), exp))
         terms ^= {mono_from_pairs(pairs)}
     return frozenset(terms)

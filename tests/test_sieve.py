@@ -5,9 +5,12 @@ import itertools
 
 import pytest
 
+import qhk.algebra
 from qhk.algebra import (
     MONO_ONE,
     _coproduct_mono,
+    _coproduct_word,
+    _tensor_pow,
     el_add,
     indecomposable_part,
     is_primitive,
@@ -36,9 +39,9 @@ from qhk.sieve import (
     verify_spherical_form,
     verify_suspension_factorization,
 )
-from qhk.spaces import RealProj, SigmaCPplus, Sphere
+from qhk.spaces import Generator, RealProj, SigmaCPplus, Sphere
 from qhk.steenrod import element_is_A_annihilated, sq_down
-from qhk.words import admissible_words
+from qhk.words import AdmissibleGen, admissible_words
 
 P = RealProj()
 S1 = Sphere(1)
@@ -389,6 +392,82 @@ def test_hidden_witness_for_the_degree_three_class():
 def test_verify_root_smoke():
     rep = verify_root_compatibility(P, 2, hopf_degree=6, square_degree=6, word_degree=8, primitive_degree=6)
     assert rep.ok and rep.checked == 187
+
+
+@pytest.mark.parametrize(
+    "space, checked",
+    [(P, 526), (S1, 142), (SigmaCPplus(), 230), (RealProj(shift=1), 82)],
+)
+def test_verify_root_counts(space, checked):
+    rep = verify_root_compatibility(space, 2, 8, 6, 8, 6)
+    assert rep.ok and rep.checked == checked
+
+
+@pytest.fixture
+def unmemoized_coproducts():
+    """A broken coproduct must meet no memoized coproduct, and leave none
+    behind for later tests."""
+    _coproduct_word.cache_clear()
+    _coproduct_images.cache_clear()
+    yield
+    _coproduct_word.cache_clear()
+    _coproduct_images.cache_clear()
+
+
+def test_verify_root_catches_a_dropped_coproduct_term(monkeypatch, unmemoized_coproducts):
+    # Δ(Q^3 a1) loses one of its two terms
+    target = AdmissibleGen((3,), Generator(P, 1))
+
+    def broken(w):
+        out = _coproduct_word(w)
+        return out - {sorted(out, key=repr)[0]} if w == target else out
+
+    monkeypatch.setattr(qhk.algebra, "_coproduct_word", broken)
+    rep = verify_root_compatibility(P, 2, 8, 6, 8, 6)
+    assert rep.checked == 526
+    assert rep.failures == [
+        f"coassociativity fails on {m}"
+        for m in (
+            "Q^4 a2", "Q^5 a2", "a1*Q^4 a2", "Q^6 a2",
+            "Q^5 a3", "a2*Q^4 a2", "a1*Q^5 a2", "a1^2*Q^4 a2",
+        )
+    ]
+
+
+def test_verify_root_catches_a_wrong_cube(monkeypatch, unmemoized_coproducts):
+    # Δ(w^3) comes out as Δ(w)
+    monkeypatch.setattr(
+        qhk.algebra, "_tensor_pow", lambda a, e: _tensor_pow(a, 1 if e == 3 else e)
+    )
+    rep = verify_root_compatibility(P, 2, 8, 6, 8, 6)
+    assert rep.checked == 526 and len(rep.failures) == 99
+    assert rep.failures[:2] == [
+        "coassociativity fails on a1^2*a2",
+        "coassociativity fails on a1*a2^2",
+    ]
+    digest = hashlib.sha256("\n".join(rep.failures).encode()).hexdigest()
+    assert digest == "8bb907a7eab4cc8db23442d0167eb6fb49bee8f5fd83be3367a482db887f4756"
+
+
+def _rank(elements) -> int:
+    """The dimension of the span of these elements."""
+    columns: dict = {}
+    masks = [sum(1 << columns.setdefault(m, len(columns)) for m in el) for el in elements]
+    return len(masks) - len(_map_kernel(masks))
+
+
+@pytest.mark.parametrize(
+    "space, cap, top",
+    [(space, cap, top) for space in (P, S1, SigmaCPplus()) for cap, top in ((2, 12), (3, 9))],
+)
+def test_milnor_moore_primitives(space, cap, top):
+    # 0 -> P(ξH) -> P(H) -> Q(H) is exact (Milnor–Moore): the primitives of
+    # degree d are the squares of the primitives of degree d/2, plus a
+    # part that maps injectively to the indecomposables
+    for d in range(1, top + 1):
+        prims = primitive_subspace(space, d, cap)
+        squares = len(primitive_subspace(space, d // 2, cap)) if d % 2 == 0 else 0
+        assert len(prims) == squares + _rank(indecomposable_part(xi) for xi in prims), d
 
 
 def test_single_use_functions_keep_no_memo_table():
