@@ -19,7 +19,8 @@ import itertools
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_, xor
 
 from .algebra import (
     EL_ZERO,
@@ -211,7 +212,9 @@ class _DegreePacking(_WordFields):
         factors."""
         out = [0]
         for w, e in m.factors:
-            out = self._times(out, self._power(w, e))
+            ys = self._power(w, e)
+            # a power's terms are distinct and within the cut, so 1 * ys is ys
+            out = ys if out == [0] else self._times(out, ys)
         low, keep = self.low, self.keep
         return [x for x in out if keep(x & low)]
 
@@ -261,58 +264,58 @@ def _coproduct_packing(space: Space, degree: int, max_len: int) -> _DegreePackin
     return _DegreePacking(space, degree, max_len, word_terms, degree // 2, bool)
 
 
-# The images of one degree are shared by the three subspaces of that degree
-# and dropped when another degree is asked for.
-
-@lru_cache(maxsize=1)
-def _steenrod_images(space: Space, degree: int, max_len: int) -> tuple[int, ...]:
-    """Stacked images of every basis monomial under all Sq^{2^k} below the
-    degree, as bitmasks over their packed terms."""
-    packing = _steenrod_packing(space, degree, max_len)
-    return packing.images(monomial_basis(space, degree, max_len))
+def _bits(mask: int):
+    """The positions of the set bits of a mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-@lru_cache(maxsize=1)
-def _coproduct_images(space: Space, degree: int, max_len: int) -> tuple[int, ...]:
-    """Half of the reduced coproduct of every basis monomial, as bitmasks
-    over its packed tensor terms."""
-    packing = _coproduct_packing(space, degree, max_len)
-    return packing.images(monomial_basis(space, degree, max_len))
+def _combine(rows, mask: int) -> int:
+    """The sum of the rows a mask selects."""
+    return reduce(xor, (rows[i] for i in _bits(mask)), 0)
 
 
-def _kernel_elements(
-    space: Space, degree: int, max_len: int, images: list[int] | tuple[int, ...]
-) -> tuple[Element, ...]:
-    basis = monomial_basis(space, degree, max_len)
-    out = []
-    for mask in _map_kernel(images):
-        terms = []
-        while mask:
-            low = mask & -mask
-            terms.append(basis[low.bit_length() - 1])
-            mask ^= low
-        out.append(frozenset(terms))
-    return tuple(out)
+def _elements(basis: tuple[Monomial, ...], masks) -> tuple[Element, ...]:
+    return tuple(frozenset(basis[i] for i in _bits(mask)) for mask in masks)
 
 
 def annihilated_subspace(space: Space, degree: int, max_len: int) -> tuple[Element, ...]:
     """Basis of the classes killed by every Sq^{2^k}, within the capped span."""
-    return _kernel_elements(space, degree, max_len, _steenrod_images(space, degree, max_len))
+    basis = monomial_basis(space, degree, max_len)
+    return _elements(basis, _map_kernel(_steenrod_packing(space, degree, max_len).images(basis)))
+
+
+@lru_cache(maxsize=1)
+def _primitive_kernel(space: Space, degree: int, max_len: int) -> tuple[int, ...]:
+    """The primitive basis as masks over the basis monomials, kept for one
+    degree at a time; the coproduct images die with the call."""
+    basis = monomial_basis(space, degree, max_len)
+    return tuple(_map_kernel(_coproduct_packing(space, degree, max_len).images(basis)))
 
 
 def primitive_subspace(space: Space, degree: int, max_len: int) -> tuple[Element, ...]:
-    return _kernel_elements(space, degree, max_len, _coproduct_images(space, degree, max_len))
+    basis = monomial_basis(space, degree, max_len)
+    return _elements(basis, _primitive_kernel(space, degree, max_len))
 
 
 def spherical_candidates(space: Space, degree: int, max_len: int) -> tuple[Element, ...]:
     """Classes that are both A-annihilated and primitive: the survivors every
-    spherical class must be among."""
-    st = _steenrod_images(space, degree, max_len)
-    cp = _coproduct_images(space, degree, max_len)
-    shift = max((im.bit_length() for im in st), default=0)
-    return _kernel_elements(
-        space, degree, max_len, [a | (b << shift) for a, b in zip(st, cp)]
-    )
+    spherical class must be among, and the kernel of the Steenrod map on the
+    primitives.  For each dependent row i, ascending, _map_kernel gives the
+    unique kernel vector with top bit i and no bit on another dependent row.
+    The primitive basis p_1, ..., p_k has that form, so the tracker of a
+    dependent restricted row j sums p_j and p_l of independent rows l < j:
+    a candidate with the top bit of p_j and no bit on another candidate's
+    top bit, the vector that eliminating the stacked images would give."""
+    basis = monomial_basis(space, degree, max_len)
+    prims = _primitive_kernel(space, degree, max_len)
+    support = list(_bits(reduce(or_, prims, 0)))
+    packing = _steenrod_packing(space, degree, max_len)
+    images = dict(zip(support, packing.images(tuple(basis[i] for i in support))))
+    trackers = _map_kernel([_combine(images, p) for p in prims])
+    return _elements(basis, [_combine(prims, t) for t in trackers])
 
 
 def sample_members(basis, max_vectors: int) -> list[Element]:

@@ -4,6 +4,8 @@ import struct
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qhk.cache import (
     CacheError,
@@ -13,7 +15,16 @@ from qhk.cache import (
     load_or_compute,
 )
 from qhk.sieve import monomial_basis
-from qhk.spaces import RealProj, SigmaCPplus, Sphere
+from qhk.spaces import (
+    REALPROJ,
+    SPHERE,
+    RealProj,
+    SigmaCPplus,
+    Space,
+    Sphere,
+    parse_space,
+    space_name,
+)
 
 
 P = RealProj()
@@ -190,3 +201,61 @@ def test_basis_out_of_enumeration_order_is_rejected(tmp_path, capsys):
     assert load_or_compute(tmp_path, P, 4, 2) == basis
     assert "enumeration order" in capsys.readouterr().err
     assert path.read_bytes() == basis_to_bytes(P, 4, 2, basis)
+
+
+@pytest.mark.parametrize("listed", [monomial_basis(P, 7, 2)[:-3], ()], ids=["truncated", "empty"])
+def test_a_sound_file_listing_another_basis_is_rewritten(tmp_path, capsys, listed):
+    # the file is canonical and its checksum is sound, but it lists fewer
+    # monomials than the degree has
+    path = cache_path(tmp_path, P, 7, 2)
+    path.write_bytes(basis_to_bytes(P, 7, 2, listed))
+    assert basis_from_bytes(path.read_bytes())[3] == listed
+    assert load_or_compute(tmp_path, P, 7, 2) == monomial_basis(P, 7, 2)
+    assert "lists another basis" in capsys.readouterr().err
+    assert path.read_bytes() == basis_to_bytes(P, 7, 2, monomial_basis(P, 7, 2))
+
+
+@pytest.mark.parametrize(
+    "space", [Space(REALPROJ, dim=7), Space(SPHERE, 2, shift=5), Space(SPHERE, 0)]
+)
+def test_non_canonical_space_descriptor_is_rejected(space):
+    data = _encode_raw(space, 3, 2, [])
+    with pytest.raises(CacheError, match="not canonical"):
+        basis_from_bytes(data)
+
+
+_FUZZ_SEEDS = [
+    basis_to_bytes(space, degree, 2, monomial_basis(space, degree, 2))
+    for space, degree in ((P, 5), (S1, 6), (SigmaCPplus(), 5))
+]
+
+
+@st.composite
+def _mutated_files(draw):
+    """A real file with a few bytes overwritten, cut out or inserted after
+    the magic, and its checksum recomputed so that the mutation reaches the
+    decoder."""
+    body = bytearray(draw(st.sampled_from(_FUZZ_SEEDS))[:-4])
+    for _ in range(draw(st.integers(1, 3))):
+        pos = draw(st.integers(4, len(body) - 1))
+        edit = draw(st.sampled_from(["byte", "word", "cut", "insert"]))
+        if edit == "byte":
+            body[pos] = draw(st.integers(0, 255))
+        elif edit == "word":
+            body[pos : pos + 4] = struct.pack("<I", draw(st.integers(0, 2**32 - 1)))
+        elif edit == "cut":
+            del body[pos : pos + draw(st.integers(1, 8))]
+        else:
+            body[pos:pos] = draw(st.binary(min_size=1, max_size=8))
+    return bytes(body) + struct.pack("<I", zlib.crc32(bytes(body)))
+
+
+@settings(deadline=None, max_examples=600)
+@given(_mutated_files())
+def test_fuzzed_files_decode_canonically_or_raise_cache_error(data):
+    try:
+        space, degree, cap, basis = basis_from_bytes(data)
+    except CacheError:
+        return
+    assert space == parse_space(space_name(space))
+    assert basis_to_bytes(space, degree, cap, basis) == data

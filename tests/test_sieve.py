@@ -6,16 +6,19 @@ import itertools
 import pytest
 
 import qhk.algebra
+import qhk.sieve
 from qhk.algebra import (
     MONO_ONE,
     _coproduct_mono,
     _coproduct_word,
     _tensor_pow,
     el_add,
+    el_square,
     indecomposable_part,
     is_primitive,
     mono_word,
     reduced_coproduct,
+    root,
 )
 from qhk.cache import basis_to_bytes
 from qhk.exprs import format_element, parse_element
@@ -23,10 +26,9 @@ from qhk.sieve import (
     VerifyReport,
     annihilated_subspace,
     check_curtis_bound,
-    _coproduct_images,
     _coproduct_packing,
     _map_kernel,
-    _steenrod_images,
+    _primitive_kernel,
     _steenrod_packing,
     basis_order_key,
     monomial_basis,
@@ -117,8 +119,8 @@ def test_map_kernel_ignores_column_numbering():
         for _ in range(10)
     ]
     # the sieve's own images, whose kernels are long and dense
-    cases.append(list(_coproduct_images(P, 9, 2)))
-    cases.append(list(_steenrod_images(S1, 12, 3)))
+    cases.append(list(_coproduct_packing(P, 9, 2).images(monomial_basis(P, 9, 2))))
+    cases.append(list(_steenrod_packing(S1, 12, 3).images(monomial_basis(S1, 12, 3))))
     for images in cases:
         ncols = max((im.bit_length() for im in images), default=0)
         want = _map_kernel(images)
@@ -271,6 +273,23 @@ def test_packed_images_match_the_element_layer(space, cap, top):
         )
 
 
+@pytest.mark.parametrize(
+    "space, cap, degrees", [(P, 2, range(11, 17)), (S1, 3, range(1, 21))]
+)
+def test_candidates_match_the_stacked_elimination(space, cap, degrees):
+    # spherical_candidates eliminates the Steenrod images of the primitive
+    # basis; one elimination of the stacked packed images gives the same basis
+    for degree in degrees:
+        basis = monomial_basis(space, degree, cap)
+        st = _steenrod_packing(space, degree, cap).images(basis)
+        cp = _coproduct_packing(space, degree, cap).images(basis)
+        shift = max((im.bit_length() for im in st), default=0)
+        stacked = _map_kernel([a | (b << shift) for a, b in zip(st, cp)])
+        assert spherical_candidates(space, degree, cap) == _elements(
+            space, degree, cap, stacked
+        ), degree
+
+
 def test_packed_fields_hold_the_largest_exponents():
     # a1^d has the widest exponent field of its degree, and its Steenrod and
     # coproduct images have the most terms of low word degree
@@ -408,10 +427,10 @@ def unmemoized_coproducts():
     """A broken coproduct must meet no memoized coproduct, and leave none
     behind for later tests."""
     _coproduct_word.cache_clear()
-    _coproduct_images.cache_clear()
+    _primitive_kernel.cache_clear()
     yield
     _coproduct_word.cache_clear()
-    _coproduct_images.cache_clear()
+    _primitive_kernel.cache_clear()
 
 
 def test_verify_root_catches_a_dropped_coproduct_term(monkeypatch, unmemoized_coproducts):
@@ -470,11 +489,41 @@ def test_milnor_moore_primitives(space, cap, top):
         assert len(prims) == squares + _rank(indecomposable_part(xi) for xi in prims), d
 
 
+@pytest.mark.parametrize(
+    "space, cap, top",
+    [(space, cap, top) for space in (P, S1, SigmaCPplus()) for cap, top in ((2, 12), (3, 9))],
+)
+def test_milnor_moore_squares_and_roots(space, cap, top):
+    # a square is primitive exactly when its root is: squaring maps the
+    # primitives of degree d/2 into those of degree d, and no other square
+    # of a degree-d/2 class is primitive
+    for d in range(2, top + 1, 2):
+        prims = primitive_subspace(space, d // 2, cap)
+        for p in prims:
+            assert root(el_square(p)) == p
+            assert is_primitive(el_square(p)), format_element(p)
+        columns: dict = {}
+        images = []
+        for m in monomial_basis(space, d // 2, cap):
+            terms = reduced_coproduct(el_square(frozenset({m})))
+            images.append(sum(1 << columns.setdefault(t, len(columns)) for t in terms))
+        assert len(_map_kernel(images)) == len(prims), d
+
+
 def test_single_use_functions_keep_no_memo_table():
     # each is asked once per monomial or degree; only the root verifier
-    # reuses coproducts, and it keeps its own table for the length of a call
-    for fn in (_coproduct_mono, annihilated_subspace, primitive_subspace, spherical_candidates):
-        assert not hasattr(fn, "cache_info"), fn.__name__
+    # reuses coproducts, and it keeps its own table for the length of a
+    # call.  In the sieve, images die with the call that builds them: the
+    # bases and the current degree's primitive kernel, read by
+    # primitive_subspace and spherical_candidates, are the only tables
+    assert not hasattr(_coproduct_mono, "cache_info")
+    memoized = {
+        name
+        for name, obj in vars(qhk.sieve).items()
+        if getattr(obj, "__module__", None) == "qhk.sieve" and hasattr(obj, "cache_info")
+    }
+    assert memoized == {"monomial_basis", "_primitive_kernel"}
+    assert _primitive_kernel.cache_info().maxsize == 1
 
 
 def test_run_verifier_dispatch():
