@@ -21,7 +21,7 @@ Q^n(v^2) = (Q^{n/2} v)^2 for even n, 0 for odd n.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .adem import admissible_expansion
 from .spaces import (
@@ -276,21 +276,26 @@ def _coproduct_word(w: AdmissibleGen) -> TensorElement:
 
 
 def _tensor_pow(a: TensorElement, e: int) -> TensorElement:
-    out = TENSOR_ONE
-    sq = a
-    while e:
+    """a^e by repeated squaring.  The product starts from the lowest power
+    of a that it needs, not from the unit, and squares only while bits of
+    e remain, so a^1 is a itself."""
+    if not e:
+        return TENSOR_ONE
+    out = None
+    while True:
         if e & 1:
-            out = _tensor_mul(out, sq)
-        sq = _tensor_square(sq)
+            out = a if out is None else _tensor_mul(out, a)
         e >>= 1
-    return out
+        if not e:
+            return out
+        a = _tensor_square(a)
 
 
 def _coproduct_mono(m: Monomial) -> TensorElement:
-    out = TENSOR_ONE
-    for w, e in m.factors:
-        out = _tensor_mul(out, _tensor_pow(_coproduct_word(w), e))
-    return out
+    """The product of the factors' powers, starting from the first one, so
+    the coproduct of one word is the memoized _coproduct_word."""
+    powers = [_tensor_pow(_coproduct_word(w), e) for w, e in m.factors]
+    return reduce(_tensor_mul, powers) if powers else TENSOR_ONE
 
 
 def coproduct(el: Element) -> TensorElement:

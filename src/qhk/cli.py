@@ -7,6 +7,7 @@ verifier that found failures, 2 for usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from json.encoder import encode_basestring_ascii as _json_str
@@ -45,7 +46,11 @@ def _positive(token: str) -> int:
     return n
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call to `main` and shared by
+    every later call in the process.  Nothing changes it once it is built;
+    `parse_args` returns a new namespace each time."""
     parser = argparse.ArgumentParser(
         prog="qhk",
         description="Exact mod-2 homology operations for infinite loop spaces.",
@@ -90,25 +95,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _indented_json(obj, indent: str = "") -> str:
-    """json.dumps(obj, indent=2), byte for byte.  With an indent set,
-    json.dumps falls back to CPython's pure-Python encoder; this writer
-    leaves only the scalars to json.  Dictionary keys are strings."""
-    if isinstance(obj, dict):
+def _indented_json(obj, indent: str = "\n") -> str:
+    """json.dumps(obj, indent=2), byte for byte, for plain JSON types
+    (dict with string keys, list, tuple, str, int, and the scalars left to
+    json).  With an indent set, json.dumps falls back to CPython's
+    pure-Python encoder; this writer leaves only the scalars to json.  The
+    indent is the newline plus the spaces that start a line at this depth."""
+    kind = type(obj)
+    if kind is dict:
         if not obj:
             return "{}"
         inner = indent + "  "
-        items = [f"{inner}{_json_str(k)}: {_indented_json(v, inner)}" for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
-    if isinstance(obj, (list, tuple)):
+        items = [f"{_json_str(k)}: {_indented_json(v, inner)}" for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if kind is list or kind is tuple:
         if not obj:
             return "[]"
         inner = indent + "  "
-        items = [inner + _indented_json(v, inner) for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + indent + "]"
-    if isinstance(obj, str):
+        items = [_indented_json(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if kind is str:
         return _json_str(obj)
-    if type(obj) is int:
+    if kind is int:
         return repr(obj)
     return json.dumps(obj)
 
@@ -136,7 +144,7 @@ def _print_subspace(args, label: str, basis) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
 
     if args.command == "normalize":

@@ -29,7 +29,10 @@ from qhk.algebra import (
     root,
     suspend,
     suspend_gen,
+    TENSOR_ONE,
+    _coproduct_word,
     _tensor_mul,
+    _tensor_pow,
 )
 from qhk.sieve import monomial_basis
 from qhk.spaces import RealProj, SigmaCPplus, Sphere, parse_gen
@@ -185,6 +188,35 @@ def test_coproduct_commutes_with_operations():
                     for mr in apply_q(n - i, frozenset({r})):
                         rhs ^= {(ml, mr)}
         assert lhs == frozenset(rhs)
+
+
+def _naive_pow(a, e):
+    """a^e as the e-fold product, starting from the unit."""
+    out = TENSOR_ONE
+    for _ in range(e):
+        out = _tensor_mul(out, a)
+    return out
+
+
+def test_tensor_pow_matches_repeated_products():
+    words = [w for space in (RealProj(), Sphere(1)) for d in range(1, 9)
+             for w in admissible_words(space, d, 2)]
+    assert len(words) > 20
+    for w in words:
+        a = _coproduct_word(w)
+        assert _tensor_pow(a, 1) is a
+        for e in range(9):
+            assert _tensor_pow(a, e) == _naive_pow(a, e), (w, e)
+
+
+def test_coproduct_of_a_monomial_is_the_product_of_its_factors_powers():
+    basis = [m for d in range(0, 9) for m in monomial_basis(RealProj(), d, 2)]
+    assert MONO_ONE in basis and len(basis) > 100
+    for m in basis:
+        want = TENSOR_ONE
+        for w, e in m.factors:
+            want = _tensor_mul(want, _naive_pow(_coproduct_word(w), e))
+        assert coproduct(frozenset({m})) == want, m
 
 
 def test_coproduct_of_powers_uses_binomial_parities():

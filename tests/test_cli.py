@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from qhk.cache import cache_path
-from qhk.cli import _indented_json, main
+from qhk.cli import _indented_json, _parser, main
 from qhk.spaces import RealProj
 
 
@@ -194,6 +194,40 @@ def test_indented_json_writer_matches_json_dumps(capsys):
     payloads += [
         dict(report, failures=["a \"quoted\" failure", "caf\u00e9 \\ tab\t"], excluded=[]),
         {}, [], {"a": [], "b": {}, "c": [[]], "d": True, "e": None, "f": -3},
+        # scalars that fall through to json, at the top and as leaves
+        True, False, None, 0.5, -0.0, 1e300, 7, "",
+        {"t": True, "f": False, "n": None, "x": 2.75, "y": [1.0, -1e-9, None]},
+        # tuples are written as lists
+        (), (1, "a", (2, ())), {"pair": (True, None), "nested": [(), ((),)]},
+        # empty containers inside containers, at several depths
+        [[], {}, [[]], [{}], {"a": {}, "b": [], "c": {"d": [[], {}]}}],
+        # strings that json escapes
+        ["\"", "\\", "\x00\x01\x1f\x7f", "\b\f\n\r\t", "/", "caf\u00e9", "\u2603", "\U0001f600"],
+        {"\"key\"": "\\", "\u00e9\n": {"\x00": "\U0001f600"}},
     ]
     for payload in payloads:
         assert _indented_json(payload) == json.dumps(payload, indent=2)
+
+
+def test_one_parser_serves_every_call(capsys):
+    # the argument parser is built once per process; a usage error on one
+    # call leaves nothing behind that changes the next call's output
+    argv = ["sieve", "--space", "P", "--degree", "6", "--format", "json"]
+    before = _parser.cache_info()
+    for command in ("basis", "annihilated", "primitives", "sieve"):
+        code, _, _ = run(capsys, command, "--space", "S1", "--degree", "4")
+        assert code == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--theorem", "2", "--space", "P"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    after = _parser.cache_info()
+    assert after.misses == 1
+    assert after.hits + after.misses == before.hits + before.misses + 6
+    proc = subprocess.run(
+        [sys.executable, "-m", "qhk.cli", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 0
+    assert out == proc.stdout

@@ -510,6 +510,23 @@ def test_milnor_moore_squares_and_roots(space, cap, top):
         assert len(_map_kernel(images)) == len(prims), d
 
 
+@pytest.mark.parametrize(
+    "space, top", [(S1, 16), (SigmaCPplus(), 14), (RealProj(shift=1), 14)]
+)
+def test_primitives_of_a_suspension_are_the_powers_of_two_of_words(space, top):
+    # the generators of a suspension are primitive, so H_*QX is polynomial
+    # on primitive words, and over GF(2) the primitives of such an algebra
+    # are spanned by the 2^k-th powers of its generators (Milnor–Moore)
+    for d in range(1, top + 1):
+        powers = [
+            frozenset({m})
+            for m in monomial_basis(space, d, 2)
+            if len(m.factors) == 1 and not m.factors[0][1] & (m.factors[0][1] - 1)
+        ]
+        prims = primitive_subspace(space, d, 2)
+        assert len(prims) == len(powers) and set(prims) == set(powers), d
+
+
 def test_single_use_functions_keep_no_memo_table():
     # each is asked once per monomial or degree; only the root verifier
     # reuses coproducts, and it keeps its own table for the length of a
