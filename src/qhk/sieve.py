@@ -37,7 +37,7 @@ from .algebra import (
     mono_from_pairs,
     mono_word,
     normalize,
-    reduced_coproduct,
+    reduced_coproduct,  # unused here; bench/layers.py still times it as a boundary
     root,
     suspend,
     suspend_gen,
@@ -176,47 +176,59 @@ class _DegreePacking(_WordFields):
     `word_terms(w)` gives the (low, left, right) terms of one word's image.
     Products drop every term whose low field exceeds `top`: low fields only
     grow under products, so no dropped term could have come back below it.
-    A monomial's image keeps the terms whose low field passes `keep`.  The
-    state lives as long as one image call."""
+    A monomial's image keeps the terms whose low field lies in `kept`, a
+    subset of 1..top; its last product drops the others as it forms them.
+    The state lives as long as one image call."""
 
     def __init__(
-        self, space: Space, degree: int, max_len: int, word_terms, top: int, keep
+        self, space: Space, degree: int, max_len: int, word_terms, top: int, kept
     ) -> None:
         super().__init__(space, degree, max_len)
-        self.top = top
-        self.keep = keep
+        self.inner = frozenset(range(top + 1))
+        self.kept = frozenset(kept)
         self._word_terms = word_terms
         self._powers: dict[tuple[AdmissibleGen, int], list[int]] = {}
 
-    def _times(self, xs: list[int], ys: list[int]) -> list[int]:
-        low, top = self.low, self.top
-        counts = Counter(z for x in xs for y in ys if (z := x + y) & low <= top)
-        return [z for z, n in counts.items() if n & 1]
+    def _times(self, xs: list[int], ys: list[int], lows: frozenset[int]) -> list[int]:
+        """The product of two term lists, keeping the terms whose low field
+        lies in `lows`."""
+        low = self.low
+        zs = [z for x in xs for y in ys if (z := x + y) & low in lows]
+        if len(set(zs)) == len(zs):
+            # no two sums are equal, so every coefficient is 1
+            return zs
+        return [z for z, n in Counter(zs).items() if n & 1]
 
     def _power(self, w: AdmissibleGen, e: int) -> list[int]:
         key = (w, e)
         if key not in self._powers:
+            low, inner = self.low, self.inner
             if e == 1:
-                terms = [self.pack(*t) for t in self._word_terms(w)]
+                terms = [x for t in self._word_terms(w) if (x := self.pack(*t)) & low in inner]
             else:
                 # the terms of (w^h)^2 are those of w^h, doubled
-                terms = [x << 1 for x in self._power(w, e >> 1)]
+                terms = [x for h in self._power(w, e >> 1) if (x := h << 1) & low in inner]
                 if e & 1:
-                    terms = self._times(terms, self._power(w, 1))
-            low, top = self.low, self.top
-            self._powers[key] = [x for x in terms if x & low <= top]
+                    terms = self._times(terms, self._power(w, 1), inner)
+            self._powers[key] = terms
         return self._powers[key]
 
     def terms(self, m: Monomial) -> list[int]:
         """The kept terms of a monomial's image, the product over its
         factors."""
-        out = [0]
-        for w, e in m.factors:
-            ys = self._power(w, e)
-            # a power's terms are distinct and within the cut, so 1 * ys is ys
-            out = ys if out == [0] else self._times(out, ys)
-        low, keep = self.low, self.keep
-        return [x for x in out if keep(x & low)]
+        factors = m.factors
+        if not factors:
+            # the image of 1 is its one term of low field 0, never kept
+            return []
+        w, e = factors[0]
+        out = self._power(w, e)
+        if len(factors) == 1:
+            low, kept = self.low, self.kept
+            return [x for x in out if x & low in kept]
+        for w, e in factors[1:-1]:
+            out = self._times(out, self._power(w, e), self.inner)
+        w, e = factors[-1]
+        return self._times(out, self._power(w, e), self.kept)
 
     def images(self, basis: tuple[Monomial, ...]) -> tuple[int, ...]:
         """Each monomial's image as a bitmask over its kept terms, numbered
@@ -245,9 +257,8 @@ def _steenrod_packing(space: Space, degree: int, max_len: int) -> _DegreePacking
         el = frozenset({mono_word(w)})
         return ((a, t) for a in range(min(top, w.degree) + 1) for t in sq_down(a, el))
 
-    return _DegreePacking(
-        space, degree, max_len, word_terms, top, lambda a: a and not a & (a - 1)
-    )
+    kept = (1 << k for k in range(top.bit_length()))
+    return _DegreePacking(space, degree, max_len, word_terms, top, kept)
 
 
 def _coproduct_packing(space: Space, degree: int, max_len: int) -> _DegreePacking:
@@ -256,12 +267,12 @@ def _coproduct_packing(space: Space, degree: int, max_len: int) -> _DegreePackin
     other half is the twist of this one, and the two have the same kernel."""
 
     def word_terms(w: AdmissibleGen):
-        m = mono_word(w)
-        # the unit terms carry the word to either side of a product
-        pairs = reduced_coproduct(frozenset({m})) | {(m, MONO_ONE), (MONO_ONE, m)}
-        return ((l.degree, l, r) for l, r in pairs)
+        # the whole Δ: its unit terms carry the word to either side of a
+        # product
+        return ((l.degree, l, r) for l, r in coproduct(frozenset({mono_word(w)})))
 
-    return _DegreePacking(space, degree, max_len, word_terms, degree // 2, bool)
+    top = degree // 2
+    return _DegreePacking(space, degree, max_len, word_terms, top, range(1, top + 1))
 
 
 def _bits(mask: int):

@@ -8,11 +8,17 @@ import pytest
 import qhk.algebra
 import qhk.sieve
 from qhk.algebra import (
+    EL_ONE,
+    EL_ZERO,
     MONO_ONE,
     _coproduct_mono,
     _coproduct_word,
     _tensor_pow,
+    apply_q,
     el_add,
+    el_degree,
+    el_gen,
+    el_mul,
     el_square,
     indecomposable_part,
     is_primitive,
@@ -202,9 +208,9 @@ def _powers_of_two_below(degree):
         a *= 2
 
 
-def _check_packed_terms(space, degree, cap, monomials):
-    st = _steenrod_packing(space, degree, cap)
-    cp = _coproduct_packing(space, degree, cap)
+def _check_packed_terms(space, degree, cap, monomials, st=None, cp=None):
+    st = st or _steenrod_packing(space, degree, cap)
+    cp = cp or _coproduct_packing(space, degree, cap)
     for m in monomials:
         terms = st.terms(m)
         assert len(set(terms)) == len(terms)
@@ -290,6 +296,35 @@ def test_candidates_match_the_stacked_elimination(space, cap, degrees):
         ), degree
 
 
+def _record_collisions(packing):
+    """Count, on the packing, the products in which two sums are equal, so
+    that the parity count decides their terms."""
+    times = packing._times
+    packing.collisions = 0
+
+    def recorded(xs, ys, lows):
+        sums = [z for x in xs for y in ys if (z := x + y) & packing.low in lows]
+        packing.collisions += len(set(sums)) < len(sums)
+        return times(xs, ys, lows)
+
+    packing._times = recorded
+    return packing
+
+
+def test_packed_terms_where_sums_collide():
+    # the first degrees at which two Steenrod sums of a product are equal:
+    # a product that skipped the parity count would keep a term twice, or
+    # keep one whose coefficient is even
+    st_collisions = cp_collisions = 0
+    for degree in range(11, 14):
+        st = _record_collisions(_steenrod_packing(P, degree, 2))
+        cp = _record_collisions(_coproduct_packing(P, degree, 2))
+        _check_packed_terms(P, degree, 2, monomial_basis(P, degree, 2), st, cp)
+        st_collisions += st.collisions
+        cp_collisions += cp.collisions
+    assert st_collisions and cp_collisions
+
+
 def test_packed_fields_hold_the_largest_exponents():
     # a1^d has the widest exponent field of its degree, and its Steenrod and
     # coproduct images have the most terms of low word degree
@@ -331,6 +366,16 @@ def test_spherical_candidates_known():
     assert len(cand) == 1
     assert cand[0] == parse_element("Q^2 a1 + a1*a2 + a1^3 + a3")
     assert spherical_candidates(S1, 2, 2) == (parse_element("g1^2", space=S1),)
+
+
+def test_degree_zero_is_the_unit():
+    # the basis of degree 0 is the empty monomial, whose images have no
+    # kept term: every kernel is spanned by 1
+    for space in (P, S1):
+        for cap in (2, 3):
+            assert annihilated_subspace(space, 0, cap) == (EL_ONE,)
+            assert primitive_subspace(space, 0, cap) == (EL_ONE,)
+            assert spherical_candidates(space, 0, cap) == (EL_ONE,)
 
 
 def test_subspace_dims_monotone_in_cap():
@@ -525,6 +570,46 @@ def test_primitives_of_a_suspension_are_the_powers_of_two_of_words(space, top):
         ]
         prims = primitive_subspace(space, d, 2)
         assert len(prims) == len(powers) and set(prims) == set(powers), d
+
+
+def test_newton_primitives_lie_in_the_primitive_kernel():
+    # Δa_n = sum a_i (x) a_{n-i}, the coproduct of the complete symmetric
+    # functions, so the power sums of Newton's identity, p_n = n a_n +
+    # sum_{i<n} p_i a_{n-i}, are primitive; so are Q^i of a primitive and
+    # its 2^k-th powers.  They span part of each primitive kernel at cap 2:
+    # 5 of 8 dimensions at degree 11, 8 of 9 at 14
+    top = 14
+    p = {}
+    for n in range(1, top + 1):
+        acc = el_gen(Generator(P, n)) if n % 2 else EL_ZERO
+        for i in range(1, n):
+            acc = el_add(acc, el_mul(p[i], el_gen(Generator(P, n - i))))
+        p[n] = acc
+    for m in range(1, top // 2 + 1):
+        assert p[2 * m] == el_square(p[m])
+    family = set(p.values())
+    layer = family
+    for _ in range(2):  # Q^I with I of length <= 2, the cap
+        layer = {
+            y
+            for x in layer
+            for i in range(el_degree(x), top - el_degree(x) + 1)
+            if (y := apply_q(i, x))
+        }
+        family |= layer
+    for x in list(family):
+        while 2 * el_degree(x) <= top:
+            x = el_square(x)
+            family.add(x)
+    by_degree: dict = {}
+    for x in family:
+        by_degree.setdefault(el_degree(x), []).append(x)
+    covered = []
+    for d in range(1, top + 1):
+        prims = primitive_subspace(P, d, 2)
+        assert _rank(prims + tuple(by_degree[d])) == len(prims), d
+        covered.append(_rank(by_degree[d]))
+    assert covered == [1, 1, 2, 2, 2, 3, 4, 4, 4, 5, 5, 7, 6, 8]
 
 
 def test_single_use_functions_keep_no_memo_table():
