@@ -35,24 +35,30 @@ from .spaces import (
 from .words import AdmissibleGen, lower_entries
 
 
-@dataclass(frozen=True, slots=True)
+_MONOMIALS: dict[tuple[tuple[AdmissibleGen, int], ...], Monomial] = {}
+
+
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Monomial:
-    """Product of word powers, factors ascending by word order.  The degree
-    and the hash are computed once, at construction."""
+    """Product of word powers, factors ascending by word order.  Monomials
+    are canonical (see spaces.py): Monomial(factors) is the one monomial
+    with that factor tuple, so == is identity and the hash is object's.
+    The degree is computed on the first construction."""
 
     factors: tuple[tuple[AdmissibleGen, int], ...]
-    degree: int = field(init=False, compare=False, repr=False)
-    _hash: int = field(init=False, compare=False, repr=False)
+    degree: int = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        degree = 0
-        for w, e in self.factors:
-            degree += e * w.degree
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "_hash", hash(self.factors))
+    def __new__(cls, factors: tuple[tuple[AdmissibleGen, int], ...]) -> Monomial:
+        self = _MONOMIALS.get(factors)
+        if self is None:
+            self = object.__new__(cls)
+            object.__setattr__(self, "factors", factors)
+            object.__setattr__(self, "degree", sum(e * w.degree for w, e in factors))
+            _MONOMIALS[factors] = self
+        return self
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self):
+        return Monomial, (self.factors,)
 
     @property
     def total_exponent(self) -> int:

@@ -1,7 +1,11 @@
 """Command line front end.
 
 Exit status: 0 for success (and for a verifier that passes), 1 for a
-verifier that found failures, 2 for usage or input errors.
+verifier that found failures, 2 for usage or input errors.  A command
+that would enumerate a monomial basis of more than MAX_BASIS_DIM elements
+(`basis`, `annihilated`, `primitives` and `sieve` at --degree, `verify` at
+--max-degree) is refused with exit status 2 before it starts; the
+dimension is predicted from the word counts (`sieve.basis_dimension`).
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from .cache import load_or_compute
 from .exprs import ExprError, element_to_json, format_element, parse_element
 from .sieve import (
     annihilated_subspace,
+    basis_dimension,
     monomial_basis,
     primitive_subspace,
     run_verifier,
@@ -23,6 +28,12 @@ from .sieve import (
 )
 from .spaces import parse_space, space_name
 from .steenrod import sq_down
+
+
+# The largest monomial basis a command enumerates.  Over P it admits
+# degree 26 at caps 2 and 3 (95105 and 95404 monomials) and refuses degree
+# 27; theorem 3 over P at degree 22 (21678) already peaks near 1 GB.
+MAX_BASIS_DIM = 100_000
 
 
 def _space_arg(token: str):
@@ -100,13 +111,23 @@ def _indented_json(obj, indent: str = "\n") -> str:
     (dict with string keys, list, tuple, str, int, and the scalars left to
     json).  With an indent set, json.dumps falls back to CPython's
     pure-Python encoder; this writer leaves only the scalars to json.  The
-    indent is the newline plus the spaces that start a line at this depth."""
+    indent is the newline plus the spaces that start a line at this depth.
+    A dict's str and int values are written in place, without a call each."""
     kind = type(obj)
     if kind is dict:
         if not obj:
             return "{}"
         inner = indent + "  "
-        items = [f"{_json_str(k)}: {_indented_json(v, inner)}" for k, v in obj.items()]
+        items = []
+        for k, v in obj.items():
+            t = type(v)
+            if t is str:
+                v = _json_str(v)
+            elif t is int:
+                v = repr(v)
+            else:
+                v = _indented_json(v, inner)
+            items.append(f"{_json_str(k)}: {v}")
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     if kind is list or kind is tuple:
         if not obj:
@@ -143,6 +164,20 @@ def _print_subspace(args, label: str, basis) -> None:
             print(format_element(el))
 
 
+def _too_large(space, degree: int, max_len: int) -> bool:
+    """Whether the basis of this degree is above MAX_BASIS_DIM, saying so
+    on stderr if it is."""
+    dim = basis_dimension(space, degree, max_len)
+    if dim <= MAX_BASIS_DIM:
+        return False
+    print(
+        f"error: the monomial basis of {space_name(space)} in degree {degree} at "
+        f"length cap {max_len} has {dim} elements, above the limit of {MAX_BASIS_DIM}",
+        file=sys.stderr,
+    )
+    return True
+
+
 def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
@@ -165,6 +200,10 @@ def main(argv=None) -> int:
         _print_element(sq_down(args.sq, el), args.format)
         return 0
 
+    if args.command in ("basis", "annihilated", "primitives", "sieve"):
+        if _too_large(args.space, args.degree, args.max_length):
+            return 2
+
     if args.command == "basis":
         if args.cache:
             basis = load_or_compute(args.cache, args.space, args.degree, args.max_length)
@@ -186,6 +225,8 @@ def main(argv=None) -> int:
     if args.command == "verify":
         if args.theorem != "root" and args.max_degree is None:
             parser.error(f"--theorem {args.theorem} requires --max-degree")
+        if args.max_degree is not None and _too_large(args.space, args.max_degree, args.max_length):
+            return 2
         report = run_verifier(
             args.theorem, args.space, args.max_degree, args.max_length, args.max_vectors
         )

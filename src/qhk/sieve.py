@@ -104,6 +104,21 @@ def monomial_basis(space: Space, degree: int, max_len: int) -> tuple[Monomial, .
     return tuple(out)
 
 
+def basis_dimension(space: Space, degree: int, max_len: int) -> int:
+    """len(monomial_basis(space, degree, max_len)), from the word counts
+    alone: the coefficient of x^degree in the product over the words w of
+    degree <= degree of 1 / (1 - x^deg w).  It enumerates words but no
+    monomials."""
+    if degree < 0:
+        return 0
+    dims = [1] + [0] * degree
+    for d in range(1, degree + 1):
+        for _ in admissible_words(space, d, max_len):
+            for k in range(d, degree + 1):
+                dims[k] += dims[k - d]
+    return dims[degree]
+
+
 def basis_order_key(m: Monomial) -> tuple:
     """monomial_basis lists a degree in strictly descending order of this
     key.  It takes the words by ascending (degree, word key) and tries each
@@ -546,8 +561,9 @@ def verify_root_compatibility(
     The two Hopf checks run on packed terms over the word fields of
     hopf_degree: a tensor term l (x) r is one int [left | right], a triple
     l1 (x) l2 (x) r one int [l1 | l2 | r], and a product of terms one add.
-    The Δ of each basis monomial comes from the Element layer (`coproduct`),
-    once per monomial, and is then packed; the checks compare those
+    Each basis monomial is packed once, and its Δ comes from the Element
+    layer (`coproduct`), once per monomial, with each leg looked up among
+    the packed monomials; the checks compare those
     coproducts with products and compositions formed on the packed terms,
     so the Element-layer coproduct is what they test."""
     t0 = time.perf_counter()
@@ -564,17 +580,22 @@ def verify_root_compatibility(
         0,
     )
 
-    # the packed coproduct of every basis monomial up to hopf_degree, keyed
-    # by the packed monomial; every leg of one is a basis monomial of no
-    # larger degree (the cap is honest), so the table has every key asked
-    # for below, and it dies with this call
+    # every basis monomial up to hopf_degree, packed once, and its packed
+    # coproduct, keyed by the packed monomial; every leg of one is a basis
+    # monomial of no larger degree (the cap is honest), so the tables have
+    # every key asked for below, and they die with this call
     fields = _WordFields(space, hopf_degree, max_len)
-    pack, shift = fields.pack, fields.right
+    shift = fields.right
     lefts = ((fields.low + 1) << shift) - 1  # the low and left fields
-    delta: dict[int, list[int]] = {}
-    for degree in range(hopf_degree + 1):
-        for m in monomial_basis(space, degree, max_len):
-            delta[pack(0, m)] = [pack(0, l, r) for l, r in coproduct(frozenset({m}))]
+    packed: dict[Monomial, int] = {
+        m: fields.pack(0, m)
+        for degree in range(hopf_degree + 1)
+        for m in monomial_basis(space, degree, max_len)
+    }
+    delta: dict[int, list[int]] = {
+        x: [packed[l] + (packed[r] << shift) for l, r in coproduct(frozenset({m}))]
+        for m, x in packed.items()
+    }
 
     def coassociator(x: int):
         """The triples of (Δ (x) 1)Δm + (1 (x) Δ)Δm, for m packed as x."""
@@ -590,23 +611,27 @@ def verify_root_compatibility(
     for degree in range(1, hopf_degree + 1):
         for m in monomial_basis(space, degree, max_len):
             report.checked += 1
-            if not _vanishes_mod2(coassociator(pack(0, m))):
+            if not _vanishes_mod2(coassociator(packed[m])):
                 report.failures.append(
                     f"coassociativity fails on {format_element(frozenset({m}))}"
                 )
 
-    # multiplicativity on pairs of basis monomials
+    # multiplicativity on pairs of basis monomials: Δ(m1 m2) + Δm1 Δm2 as a
+    # set of the terms of odd count.  Δ(m1 m2) has distinct terms, and so
+    # has x Δm2 for each x, so toggling each run in is the sum mod 2.  A
+    # product outside the table has no Δ here, so the sum cannot vanish.
     for d1 in range(1, hopf_degree):
         for d2 in range(d1, hopf_degree - d1 + 1):
             for m1 in monomial_basis(space, d1, max_len):
-                delta1 = delta[pack(0, m1)]
+                delta1 = delta[packed[m1]]
                 for m2 in monomial_basis(space, d2, max_len):
                     report.checked += 1
                     (product,) = el_mul(frozenset({m1}), frozenset({m2}))
-                    lhs = delta[pack(0, product)]
-                    delta2 = delta[pack(0, m2)]
-                    rhs = (x + y for x in delta1 for y in delta2)
-                    if not _vanishes_mod2(itertools.chain(lhs, rhs)):
+                    acc = set(delta.get(packed.get(product), ()))
+                    delta2 = delta[packed[m2]]
+                    for x in delta1:
+                        acc.symmetric_difference_update(map(x.__add__, delta2))
+                    if acc:
                         report.failures.append(
                             f"coproduct is not multiplicative on "
                             f"{format_element(frozenset({m1}))} and {format_element(frozenset({m2}))}"

@@ -29,17 +29,59 @@ REALPROJ = "realproj"
 SIGMACP = "sigmacp"
 
 
-@dataclass(frozen=True)
+# The value types here, in words.py and in algebra.py are canonical: each
+# constructor returns the one object that has its fields, kept in a table
+# for the life of the process, so equality is identity and the hash is
+# object's.  The algebra's memo tables keep most of these objects alive
+# anyway.
+
+_SPACES: dict[tuple[str, int, int], Space] = {}
+_GENERATORS: dict[tuple[Space, int], Generator] = {}
+
+
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Space:
+    """A space, canonical: Space(kind, dim, shift) is the one object with
+    those fields."""
+
     kind: str
     dim: int = 0   # sphere bottom dimension, shift included; 0 otherwise
     shift: int = 0
 
+    def __new__(cls, kind: str, dim: int = 0, shift: int = 0) -> Space:
+        key = (kind, dim, shift)
+        self = _SPACES.get(key)
+        if self is None:
+            self = object.__new__(cls)
+            object.__setattr__(self, "kind", kind)
+            object.__setattr__(self, "dim", dim)
+            object.__setattr__(self, "shift", shift)
+            _SPACES[key] = self
+        return self
 
-@dataclass(frozen=True)
+    def __reduce__(self):
+        return Space, (self.kind, self.dim, self.shift)
+
+
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Generator:
+    """A homology generator of a space, canonical like Space."""
+
     space: Space
     index: int
+
+    def __new__(cls, space: Space, index: int) -> Generator:
+        key = (space, index)
+        self = _GENERATORS.get(key)
+        if self is None:
+            self = object.__new__(cls)
+            object.__setattr__(self, "space", space)
+            object.__setattr__(self, "index", index)
+            _GENERATORS[key] = self
+        return self
+
+    def __reduce__(self):
+        return Generator, (self.space, self.index)
 
 
 def Sphere(n: int) -> Space:

@@ -59,33 +59,45 @@ def is_admissible_ops(ops: tuple[int, ...]) -> bool:
     return all(ops[j] <= 2 * ops[j + 1] for j in range(len(ops) - 1))
 
 
-@dataclass(frozen=True, slots=True)
+_WORDS: dict[tuple[tuple[int, ...], Generator], AdmissibleGen] = {}
+
+
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class AdmissibleGen:
     """A polynomial-algebra generator Q^I x: I admissible, positive excess.
 
-    The degree, the word_sort_key and the hash are computed once, at
-    construction; words are hashed and compared by key in every product."""
+    Words are canonical (see spaces.py): AdmissibleGen(ops, gen) is the one
+    word with those fields, so == is identity and the hash is object's.
+    The first construction checks the word and computes its degree and its
+    word_sort_key; an invalid word raises ValueError and is not kept."""
 
     ops: tuple[int, ...]
     gen: Generator
-    degree: int = field(init=False, compare=False, repr=False)
-    sort_key: tuple = field(init=False, compare=False, repr=False)
-    _hash: int = field(init=False, compare=False, repr=False)
+    degree: int = field(init=False, repr=False)
+    sort_key: tuple = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        gen_deg = gen_degree(self.gen)
-        entries = lower_entries(self.ops, gen_deg)
-        if self.ops:
+    def __new__(cls, ops: tuple[int, ...], gen: Generator) -> AdmissibleGen:
+        key = (ops, gen)
+        self = _WORDS.get(key)
+        if self is not None:
+            return self
+        gen_deg = gen_degree(gen)
+        entries = lower_entries(ops, gen_deg)
+        if ops:
             if entries[0] < 1:
-                raise ValueError(f"excess {entries[0]} < 1 in Q^{self.ops} {self.gen}")
+                raise ValueError(f"excess {entries[0]} < 1 in Q^{ops} {gen}")
             if any(entries[j] > entries[j + 1] for j in range(len(entries) - 1)):
-                raise ValueError(f"inadmissible word Q^{self.ops} {self.gen}")
-        object.__setattr__(self, "degree", word_degree(self.ops, gen_deg))
-        object.__setattr__(self, "sort_key", (len(self.ops), entries, gen_sort_key(self.gen)))
-        object.__setattr__(self, "_hash", hash((self.ops, self.gen)))
+                raise ValueError(f"inadmissible word Q^{ops} {gen}")
+        self = object.__new__(cls)
+        object.__setattr__(self, "ops", ops)
+        object.__setattr__(self, "gen", gen)
+        object.__setattr__(self, "degree", word_degree(ops, gen_deg))
+        object.__setattr__(self, "sort_key", (len(ops), entries, gen_sort_key(gen)))
+        _WORDS[key] = self
+        return self
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self):
+        return AdmissibleGen, (self.ops, self.gen)
 
     @property
     def lower(self) -> tuple[int, ...]:

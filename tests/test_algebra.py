@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import pickle
 import random
 
 import pytest
@@ -34,8 +35,11 @@ from qhk.algebra import (
     _tensor_mul,
     _tensor_pow,
 )
+from qhk.cache import basis_from_bytes, basis_to_bytes
+from qhk.exprs import element_from_json, element_to_json, format_element, parse_element
 from qhk.sieve import monomial_basis
-from qhk.spaces import RealProj, SigmaCPplus, Sphere, parse_gen
+from qhk.spaces import Generator, RealProj, SigmaCPplus, Sphere, parse_gen, parse_space
+from qhk.steenrod import sq_down
 from qhk.words import AdmissibleGen, admissible_words
 
 g1 = parse_gen("g1")
@@ -370,6 +374,67 @@ def test_cached_monomial_degree_and_hash():
         for d in range(0, 11):
             for m in monomial_basis(space, d, 3):
                 assert m.degree == sum(e * w.degree for w, e in m.factors) == d
-                assert hash(m) == hash(m.factors)
                 twin = Monomial(tuple(m.factors))
-                assert twin == m and hash(twin) == hash(m)
+                assert twin is m
+
+
+def test_values_are_canonical_on_every_construction_path():
+    # every path that builds a word or a monomial must return the object
+    # that monomial_basis holds; values are looked up by their fields, so
+    # a fresh equal-valued object fails here
+    space, cap, top = RealProj(), 2, 10
+    assert parse_space("P") is space and parse_gen("a3") is Generator(space, 3)
+
+    def wkey(w):
+        g = w.gen
+        return (w.ops, g.space.kind, g.space.dim, g.space.shift, g.index)
+
+    def mkey(m):
+        return tuple((wkey(w), e) for w, e in m.factors)
+
+    basis = {d: monomial_basis(space, d, cap) for d in range(top + 1)}
+    monos = {mkey(m): m for ms in basis.values() for m in ms}
+    words = {wkey(w): w for m in monos.values() for w, _ in m.factors}
+    seen = 0
+
+    def check(el):
+        nonlocal seen
+        for m in el:
+            seen += 1
+            assert monos[mkey(m)] is m
+            assert all(words[wkey(w)] is w for w, _ in m.factors)
+
+    for d in range(1, top + 1):
+        for w in admissible_words(space, d, cap):
+            assert words[wkey(w)] is w
+    for g in (Generator(space, i) for i in range(1, 4)):
+        for ops in itertools.product(range(1, 7), repeat=2):
+            el = normalize(ops, g)
+            if el and el_degree(el) <= top:
+                check(el)
+    for ms in basis.values():
+        for m in ms:
+            check({pickle.loads(pickle.dumps(m))})
+            for l, r in coproduct(frozenset({m})):
+                check({l, r})
+            for a in range(1, m.degree + 1):
+                check(sq_down(a, frozenset({m})))
+            check(parse_element(format_element(frozenset({m})), space))
+            check(element_from_json(element_to_json(frozenset({m}))))
+    for d1 in range(top + 1):
+        for d2 in range(d1, top - d1 + 1):
+            for a, b in itertools.product(basis[d1], basis[d2]):
+                check({mono_mul(a, b), mono_from_pairs(a.factors + b.factors)})
+                check(el_mul(frozenset({a}), frozenset({b})))
+    for d in range(top + 1):
+        cspace, _, _, cbasis = basis_from_bytes(basis_to_bytes(space, d, cap, basis[d]))
+        assert cspace is space
+        check(cbasis)
+    assert seen > 10000
+
+    # an invalid word is refused every time, never kept
+    a1 = Generator(space, 1)
+    for ops in ((1,), (5, 2)):  # excess 0; entries (2, 1) decrease
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                AdmissibleGen(ops, a1)

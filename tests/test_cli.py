@@ -8,7 +8,8 @@ import sys
 import pytest
 
 from qhk.cache import cache_path
-from qhk.cli import _indented_json, _parser, main
+from qhk.cli import MAX_BASIS_DIM, _indented_json, _parser, main
+from qhk.sieve import basis_dimension
 from qhk.spaces import RealProj
 
 
@@ -99,6 +100,25 @@ def test_verify_requires_degree_for_numbered_theorems(capsys):
         main(["verify", "--theorem", "2", "--space", "P"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_bases_above_the_limit_are_refused(capsys):
+    # degree 27 over P is the first above the limit, at caps 2 and 3
+    assert basis_dimension(RealProj(), 26, 3) <= MAX_BASIS_DIM < basis_dimension(RealProj(), 27, 2)
+    for command in ("basis", "annihilated", "primitives", "sieve"):
+        code, out, err = run(capsys, command, "--space", "P", "--degree", "27")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: the monomial basis of P in degree 27 at length cap 2 has "
+            f"136267 elements, above the limit of {MAX_BASIS_DIM}\n"
+        )
+    for theorem in ("1", "2", "3", "root"):
+        code, out, err = run(
+            capsys, "verify", "--theorem", theorem, "--space", "P",
+            "--max-degree", "27", "--max-length", "3",
+        )
+        assert (code, out) == (2, "")
+        assert "in degree 27 at length cap 3 has 136746 elements" in err
 
 
 def test_bad_expression_is_a_usage_error(capsys):

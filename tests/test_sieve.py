@@ -36,6 +36,7 @@ from qhk.sieve import (
     _map_kernel,
     _primitive_kernel,
     _steenrod_packing,
+    basis_dimension,
     basis_order_key,
     monomial_basis,
     primitive_subspace,
@@ -172,6 +173,19 @@ def test_monomial_basis_matches_brute_force():
             assert len(set(basis)) == len(basis)
             assert set(basis) == _brute_monomials(space, degree, 2)
             assert all(m.degree == degree for m in basis)
+
+
+@pytest.mark.parametrize("space", (P, S1, SigmaCPplus()), ids=("P", "S1", "SCP"))
+@pytest.mark.parametrize("cap", (2, 3))
+def test_basis_dimension_predicts_the_basis(space, cap):
+    for degree in range(0, 17):
+        assert basis_dimension(space, degree, cap) == len(monomial_basis(space, degree, cap))
+
+
+def test_basis_dimension_at_the_frontier():
+    # over P: cap 2 at degrees 20, 22, 24, and cap 3 at 24 and 26
+    assert [basis_dimension(P, d, 2) for d in (20, 22, 24)] == [10071, 21678, 45792]
+    assert [basis_dimension(P, d, 3) for d in (24, 26)] == [45905, 95404]
 
 
 def test_monomial_basis_enumeration_order_is_pinned():
