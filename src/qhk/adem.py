@@ -19,7 +19,6 @@ from functools import lru_cache
 from .mod2 import binom_mod2
 
 
-@lru_cache(maxsize=None)
 def adem_pair(a: int, b: int) -> frozenset[tuple[int, int]]:
     """Admissible pairs in the straightening of the inadmissible Q^a Q^b."""
     if a <= 2 * b:

@@ -3,9 +3,11 @@
 Exit status: 0 for success (and for a verifier that passes), 1 for a
 verifier that found failures, 2 for usage or input errors.  A command
 that would enumerate a monomial basis of more than MAX_BASIS_DIM elements
-(`basis`, `annihilated`, `primitives` and `sieve` at --degree, `verify` at
---max-degree) is refused with exit status 2 before it starts; the
-dimension is predicted from the word counts (`sieve.basis_dimension`).
+(`basis`, `annihilated`, `primitives` and `sieve` at --degree, `verify` of
+theorems 2, 3 and root at --max-degree) is refused with exit status 2
+before it starts; the dimension is predicted from the word counts
+(`sieve.basis_dimension`).  Theorem 1 checks words one at a time and
+enumerates no monomial basis, so it is not refused.
 """
 
 from __future__ import annotations
@@ -225,7 +227,11 @@ def main(argv=None) -> int:
     if args.command == "verify":
         if args.theorem != "root" and args.max_degree is None:
             parser.error(f"--theorem {args.theorem} requires --max-degree")
-        if args.max_degree is not None and _too_large(args.space, args.max_degree, args.max_length):
+        if (
+            args.theorem != "1"
+            and args.max_degree is not None
+            and _too_large(args.space, args.max_degree, args.max_length)
+        ):
             return 2
         report = run_verifier(
             args.theorem, args.space, args.max_degree, args.max_length, args.max_vectors

@@ -34,9 +34,8 @@ from .algebra import (
     mono_word,
 )
 from .spaces import (
-    Generator,
+    SPHERE,
     Space,
-    gen_degree,
     gen_name,
     generators,
     parse_gen,
@@ -241,9 +240,13 @@ def element_from_json(obj: dict) -> Element:
         for f in _json_field(term, "factors", list):
             g = _json_field(f, "gen", dict)
             name = _json_field(g, "space", str)
-            gen = Generator(parse_space(name), _json_field(g, "index", int))
-            if gen not in generators(gen.space, gen_degree(gen)):
-                raise ValueError(f"no generator of index {gen.index} on {name}")
+            space, index = parse_space(name), _json_field(g, "index", int)
+            # look the index up before building a generator, so that a
+            # refused payload leaves nothing in the table of generators
+            found = generators(space, space.dim if space.kind == SPHERE else index + space.shift)
+            if [h.index for h in found] != [index]:
+                raise ValueError(f"no generator of index {index} on {name}")
+            gen = found[0]
             ops = _json_field(f, "ops", list)
             if not all(isinstance(i, int) and not isinstance(i, bool) for i in ops):
                 raise ValueError(f"element JSON: 'ops' are not all integers: {ops!r}")

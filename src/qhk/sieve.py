@@ -119,14 +119,6 @@ def basis_dimension(space: Space, degree: int, max_len: int) -> int:
     return dims[degree]
 
 
-def basis_order_key(m: Monomial) -> tuple:
-    """monomial_basis lists a degree in strictly descending order of this
-    key.  It takes the words by ascending (degree, word key) and tries each
-    exponent 0 first, then 1, 2, ...: of two monomials, the later one has
-    the larger exponent at the first word where the two differ."""
-    return tuple(sorted((w.degree, w.sort_key, -e) for w, e in m.factors))
-
-
 # -- packed images -------------------------------------------------------------
 #
 # Both image passes multiply, factor by factor, the images of the words of a

@@ -35,7 +35,6 @@ from qhk.algebra import (
     _tensor_mul,
     _tensor_pow,
 )
-from qhk.cache import basis_from_bytes, basis_to_bytes
 from qhk.exprs import element_from_json, element_to_json, format_element, parse_element
 from qhk.sieve import monomial_basis
 from qhk.spaces import Generator, RealProj, SigmaCPplus, Sphere, parse_gen, parse_space
@@ -426,10 +425,6 @@ def test_values_are_canonical_on_every_construction_path():
             for a, b in itertools.product(basis[d1], basis[d2]):
                 check({mono_mul(a, b), mono_from_pairs(a.factors + b.factors)})
                 check(el_mul(frozenset({a}), frozenset({b})))
-    for d in range(top + 1):
-        cspace, _, _, cbasis = basis_from_bytes(basis_to_bytes(space, d, cap, basis[d]))
-        assert cspace is space
-        check(cbasis)
     assert seen > 10000
 
     # an invalid word is refused every time, never kept

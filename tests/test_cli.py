@@ -112,13 +112,19 @@ def test_bases_above_the_limit_are_refused(capsys):
             "error: the monomial basis of P in degree 27 at length cap 2 has "
             f"136267 elements, above the limit of {MAX_BASIS_DIM}\n"
         )
-    for theorem in ("1", "2", "3", "root"):
+    for theorem in ("2", "3", "root"):
         code, out, err = run(
             capsys, "verify", "--theorem", theorem, "--space", "P",
             "--max-degree", "27", "--max-length", "3",
         )
         assert (code, out) == (2, "")
         assert "in degree 27 at length cap 3 has 136746 elements" in err
+    # theorem 1 checks words one at a time and builds no monomial basis
+    code, out, err = run(
+        capsys, "verify", "--theorem", "1", "--space", "P", "--max-degree", "27", "--max-length", "3"
+    )
+    assert (code, err) == (0, "")
+    assert out.startswith("theorem 1 over P: PASS (checked 315, excluded 0, ")
 
 
 def test_bad_expression_is_a_usage_error(capsys):

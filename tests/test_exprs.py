@@ -25,6 +25,7 @@ from qhk.exprs import (
     format_element,
     parse_element,
 )
+from qhk import spaces
 from qhk.spaces import RealProj, Sphere, parse_gen
 from qhk.words import AdmissibleGen, admissible_words
 
@@ -156,6 +157,18 @@ def test_json_rejects_bad_generators():
         element_from_json(
             {"terms": [{"factors": [{"ops": [9, 2], "gen": {"space": "P", "index": 1}, "exp": 1}]}]}
         )
+
+
+def test_rejected_generators_leave_no_canonical_objects_behind():
+    # the index is checked before a generator is built, so a refused payload
+    # adds nothing to the table of generators
+    element_from_json({"terms": [{"factors": [_factor([], "S1", 1, 1)]}]})
+    before = len(spaces._GENERATORS)
+    bad = [("S1", i) for i in range(2, 1002)] + [("P", 0), ("P", -3), ("SCP", 4), ("SCP^s2", 6)]
+    for name, index in bad:
+        with pytest.raises(ValueError, match="no generator"):
+            element_from_json({"terms": [{"factors": [_factor([], name, index, 1)]}]})
+    assert len(spaces._GENERATORS) == before
 
 
 def test_the_unit_is_an_atom():

@@ -37,7 +37,6 @@ from qhk.sieve import (
     _primitive_kernel,
     _steenrod_packing,
     basis_dimension,
-    basis_order_key,
     monomial_basis,
     primitive_subspace,
     run_verifier,
@@ -196,14 +195,6 @@ def test_monomial_basis_enumeration_order_is_pinned():
         for degree in range(1, 11):
             h.update(basis_to_bytes(space, degree, 2, monomial_basis(space, degree, 2)))
     assert h.hexdigest() == "13d9f4a3e8fbb035399626bfe8fcdec7e3defab88bef925c826ff61d1a8868aa"
-
-
-def test_basis_order_key_descends_along_the_enumeration():
-    for space in SPACES:
-        for cap, top in ((2, 10), (3, 9)):
-            for degree in range(1, top + 1):
-                keys = [basis_order_key(m) for m in monomial_basis(space, degree, cap)]
-                assert all(a > b for a, b in zip(keys, keys[1:])), (space, degree, cap)
 
 
 def test_monomial_basis_small_counts():
