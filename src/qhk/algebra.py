@@ -15,7 +15,9 @@ generator by the excess rule
 (the lower entries of an admissible sequence are nondecreasing, so the
 zeros sit in a prefix; an index equal to the degree squares, below kills).
 Composites and powers reduce to that via the Cartan formula and
-Q^n(v^2) = (Q^{n/2} v)^2 for even n, 0 for odd n.
+Q^n(v^2) = (Q^{n/2} v)^2 for even n, 0 for odd n; _cartan states both
+rules once, for Q^n here and for the dual Steenrod action.  Word keys are
+total (the space kind breaks the last ties), so products are plain merges.
 """
 
 from __future__ import annotations
@@ -97,7 +99,8 @@ def el_gen(g: Generator) -> Element:
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     """The product, by merging the two factor tuples, which are already
-    ascending by word key; equal to mono_from_pairs(a.factors + b.factors)."""
+    ascending by word key (equal keys mean the same word); equal to
+    mono_from_pairs(a.factors + b.factors)."""
     fa, fb = a.factors, b.factors
     if not fa:
         return b
@@ -120,14 +123,10 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
         elif kb < ka:
             out.append(fb[j])
             j += 1
-        elif wa == wb:
+        else:
             out.append((wa, ea + eb))
             i += 1
             j += 1
-        else:
-            # distinct words with equal keys (generators of different space
-            # kinds): the stable sort in mono_from_pairs decides their order
-            return mono_from_pairs(fa + fb)
     return Monomial(tuple(out) + fa[i:] + fb[j:])
 
 
@@ -196,41 +195,42 @@ def normalize(ops: tuple[int, ...], gen: Generator) -> Element:
     return frozenset(out)
 
 
+def _cartan(f, n: int, m: Monomial) -> Element:
+    """f(n, m), m not a single word, for an action f with the Cartan formula
+    and f_n(v^2) = f_{n/2}(v)^2 (0 at odd n): v^(2k) squares f_{n/2}(v^k),
+    and any other m splits into its first power (or v and v^(e-1)) and rest."""
+    w, e = m.factors[0]
+    if len(m.factors) > 1:
+        left, right = mono_word(w, e), Monomial(m.factors[1:])
+    elif e % 2:
+        left, right = mono_word(w), mono_word(w, e - 1)
+    else:
+        return EL_ZERO if n % 2 else el_square(f(n // 2, mono_word(w, e // 2)))
+    out: set = set()
+    for i in range(n + 1):
+        li = f(i, left)
+        if not li:
+            continue
+        rj = f(n - i, right)
+        for ml in li:
+            for mr in rj:
+                out ^= {mono_mul(ml, mr)}
+    return frozenset(out)
+
+
 @lru_cache(maxsize=None)
 def _apply_q_mono(n: int, m: Monomial) -> Element:
     if not m.factors:
         return EL_ONE if n == 0 else EL_ZERO
-    if n == 0:
-        return EL_ZERO
     d = m.degree
     if n < d:
         return EL_ZERO
     if n == d:
         return frozenset({mono_square(m)})
-    if len(m.factors) == 1:
-        w, e = m.factors[0]
-        if e == 1:
-            return normalize((n,) + w.ops, w.gen)
-        if e % 2 == 0:
-            if n % 2:
-                return EL_ZERO
-            return el_square(_apply_q_mono(n // 2, mono_word(w, e // 2)))
-        left: Monomial = mono_word(w)
-        right: Monomial = mono_word(w, e - 1)
-    else:
-        w, e = m.factors[0]
-        left = mono_word(w, e)
-        right = Monomial(m.factors[1:])
-    out: set = set()
-    for i in range(n + 1):
-        li = _apply_q_mono(i, left)
-        if not li:
-            continue
-        rj = _apply_q_mono(n - i, right)
-        for ml in li:
-            for mr in rj:
-                out ^= {mono_mul(ml, mr)}
-    return frozenset(out)
+    w, e = m.factors[0]
+    if e == 1 and len(m.factors) == 1:
+        return normalize((n,) + w.ops, w.gen)
+    return _cartan(_apply_q_mono, n, m)
 
 
 def apply_q(n: int, el: Element) -> Element:

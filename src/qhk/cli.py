@@ -151,14 +151,14 @@ def _print_element(el, fmt: str) -> None:
         print(format_element(el))
 
 
-def _print_subspace(args, label: str, basis) -> None:
+def _print_subspace(args, basis) -> None:
     if args.format == "json":
         payload = {
             "space": space_name(args.space),
             "degree": args.degree,
             "max_length": args.max_length,
             "dimension": len(basis),
-            label: [element_to_json(el) for el in basis],
+            "basis": [element_to_json(el) for el in basis],
         }
         print(_indented_json(payload))
     else:
@@ -184,44 +184,30 @@ def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
 
-    if args.command == "normalize":
+    if args.command in ("normalize", "act"):
         try:
             el = parse_element(args.expr, args.space)
         except ExprError as err:
             print(f"error: {err}", file=sys.stderr)
             return 2
-        _print_element(el, args.format)
-        return 0
-
-    if args.command == "act":
-        try:
-            el = parse_element(args.expr, args.space)
-        except ExprError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 2
-        _print_element(sq_down(args.sq, el), args.format)
+        _print_element(el if args.command == "normalize" else sq_down(args.sq, el), args.format)
         return 0
 
     if args.command in ("basis", "annihilated", "primitives", "sieve"):
         if _too_large(args.space, args.degree, args.max_length):
             return 2
-
-    if args.command == "basis":
-        if args.cache:
-            basis = load_or_compute(args.cache, args.space, args.degree, args.max_length)
+        bounds = (args.space, args.degree, args.max_length)
+        if args.command == "basis":
+            basis = load_or_compute(args.cache, *bounds) if args.cache else monomial_basis(*bounds)
+            subspace = [frozenset({m}) for m in basis]
         else:
-            basis = monomial_basis(args.space, args.degree, args.max_length)
-        elements = [frozenset({m}) for m in basis]
-        _print_subspace(args, "basis", elements)
-        return 0
-
-    if args.command in ("annihilated", "primitives", "sieve"):
-        fn = {
-            "annihilated": annihilated_subspace,
-            "primitives": primitive_subspace,
-            "sieve": spherical_candidates,
-        }[args.command]
-        _print_subspace(args, "basis", fn(args.space, args.degree, args.max_length))
+            fn = {
+                "annihilated": annihilated_subspace,
+                "primitives": primitive_subspace,
+                "sieve": spherical_candidates,
+            }[args.command]
+            subspace = fn(*bounds)
+        _print_subspace(args, subspace)
         return 0
 
     if args.command == "verify":

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache, reduce
 from operator import or_, xor
 
@@ -370,15 +370,7 @@ class VerifyReport:
         return not self.failures
 
     def to_json(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "space": self.space,
-            "bounds": self.bounds,
-            "checked": self.checked,
-            "failures": list(self.failures),
-            "excluded": list(self.excluded),
-            "millis": self.millis,
-        }
+        return asdict(self)
 
 
 # -- theorem 1: the annihilation criterion --------------------------------------

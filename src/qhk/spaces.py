@@ -234,5 +234,6 @@ def is_gen_A_annihilated(g: Generator) -> bool:
     return True
 
 
-def gen_sort_key(g: Generator) -> tuple[int, int, int, int]:
-    return (gen_degree(g), g.space.shift, g.space.dim, g.index)
+def gen_sort_key(g: Generator) -> tuple[int, int, int, int, str]:
+    """Injective: the kind, last, only splits a_n from c_n at one shift."""
+    return (gen_degree(g), g.space.shift, g.space.dim, g.index, g.space.kind)

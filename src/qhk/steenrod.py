@@ -9,7 +9,8 @@ no 2-adic reading).  Pushing a formal Sq^a through a whole index sequence
 this way, the terms whose residual Steenrod index hits zero form the
 sequence-level action on bare words; the rest hand a lower operation to the
 generator.  Element-level sq_down interleaves the same recursion with the
-unstable evaluation and the Cartan rule.
+unstable evaluation on one word, and takes products and powers to the Cartan
+rule that Q^n shares, algebra._cartan.
 
 The annihilation criterion for a basis word Q^I x tests, writing rho for
 the lowest zero bit:
@@ -31,11 +32,10 @@ from .algebra import (
     EL_ZERO,
     Element,
     Monomial,
+    _cartan,
     apply_q,
     el_degree,
     el_gen,
-    el_mul,
-    el_square,
     mono_word,
     normalize,
 )
@@ -86,34 +86,18 @@ def _sq_down_mono(a: int, m: Monomial) -> Element:
         return frozenset({m})
     if not m.factors:
         return EL_ZERO
-    if len(m.factors) == 1:
-        w, e = m.factors[0]
-        if e == 1:
-            if not w.ops:
-                target = sq_down_gen(a, w.gen)
-                return EL_ZERO if target is None else el_gen(target)
-            i1 = w.ops[0]
-            tail = mono_word(AdmissibleGen(w.ops[1:], w.gen))
-            out: set = set()
-            for t in range(a // 2 + 1):
-                if _coef(i1 - a, a - 2 * t):
-                    out ^= apply_q(i1 - a + t, _sq_down_mono(t, tail))
-            return frozenset(out)
-        if e % 2 == 0:
-            if a % 2:
-                return EL_ZERO
-            return el_square(_sq_down_mono(a // 2, mono_word(w, e // 2)))
-        left, right = mono_word(w), mono_word(w, e - 1)
-    else:
-        w, e = m.factors[0]
-        left, right = mono_word(w, e), Monomial(m.factors[1:])
-    out = set()
-    for i in range(a + 1):
-        li = _sq_down_mono(i, left)
-        if not li:
-            continue
-        rj = _sq_down_mono(a - i, right)
-        out ^= el_mul(li, rj)
+    w, e = m.factors[0]
+    if e > 1 or len(m.factors) > 1:
+        return _cartan(_sq_down_mono, a, m)
+    if not w.ops:
+        target = sq_down_gen(a, w.gen)
+        return EL_ZERO if target is None else el_gen(target)
+    i1 = w.ops[0]
+    tail = mono_word(AdmissibleGen(w.ops[1:], w.gen))
+    out: set = set()
+    for t in range(a // 2 + 1):
+        if _coef(i1 - a, a - 2 * t):
+            out ^= apply_q(i1 - a + t, _sq_down_mono(t, tail))
     return frozenset(out)
 
 

@@ -359,13 +359,17 @@ def test_merged_product_matches_the_sorting_constructor():
 
 
 def test_merged_product_across_space_kinds():
-    # a3 and c3 share a sort key; the product must still match the
-    # constructor, which keeps such factors in first-seen order
-    c3 = parse_gen("c3")
-    x, y = mono_word(W((), a3)), mono_word(W((), c3))
-    xy = mono_mul(mono_mul(x, y), mono_word(W((), a1)))
-    for a, b in itertools.product((x, y, xy, mono_word(W((), a3), 2)), repeat=2):
-        assert mono_mul(a, b) == mono_from_pairs(a.factors + b.factors)
+    # a_n and c_n at one shift differ only in the space kind, the last entry
+    # of the generator key, which orders them; products of them commute and
+    # match the sorting constructor
+    for shift in ("", "^s1"):
+        x = mono_word(W((), parse_gen(f"a3{shift}")))
+        y = mono_word(W((), parse_gen(f"c3{shift}")))
+        xy = mono_mul(mono_mul(x, y), mono_word(W((), a1)))
+        for a, b in itertools.product((x, y, xy, mono_mul(x, x)), repeat=2):
+            assert mono_mul(a, b) == mono_from_pairs(a.factors + b.factors)
+            assert mono_mul(a, b) is mono_mul(b, a)
+    assert parse_element("a3*c3 + c3*a3") == EL_ZERO
 
 
 def test_cached_monomial_degree_and_hash():

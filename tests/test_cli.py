@@ -23,6 +23,9 @@ def test_normalize_golden(capsys):
     code, out, _ = run(capsys, "normalize", "Q^6 Q^2 a1")
     assert code == 0
     assert out == "Q^5 Q^3 a1\n"
+    # products across space kinds commute
+    code, out, _ = run(capsys, "normalize", "a1*c1 + c1*a1")
+    assert (code, out) == (0, "0\n")
 
 
 def test_normalize_is_idempotent(capsys):

@@ -561,20 +561,72 @@ def test_milnor_moore_squares_and_roots(space, cap, top):
 
 
 @pytest.mark.parametrize(
-    "space, top", [(S1, 16), (SigmaCPplus(), 14), (RealProj(shift=1), 14)]
+    "space, cap, top",
+    [
+        (S1, 2, 16),
+        (SigmaCPplus(), 2, 14),
+        (RealProj(shift=1), 2, 14),
+        (S1, 3, 16),
+        (Sphere(2), 2, 16),
+        (SigmaCPplus(), 3, 12),
+        (RealProj(shift=1), 3, 12),
+    ],
 )
-def test_primitives_of_a_suspension_are_the_powers_of_two_of_words(space, top):
+def test_primitives_of_a_suspension_are_the_powers_of_two_of_words(space, cap, top):
     # the generators of a suspension are primitive, so H_*QX is polynomial
     # on primitive words, and over GF(2) the primitives of such an algebra
     # are spanned by the 2^k-th powers of its generators (Milnor–Moore)
     for d in range(1, top + 1):
         powers = [
             frozenset({m})
-            for m in monomial_basis(space, d, 2)
+            for m in monomial_basis(space, d, cap)
             if len(m.factors) == 1 and not m.factors[0][1] & (m.factors[0][1] - 1)
         ]
-        prims = primitive_subspace(space, d, 2)
+        prims = primitive_subspace(space, d, cap)
         assert len(prims) == len(powers) and set(prims) == set(powers), d
+
+
+@pytest.mark.parametrize("cap, top", [(2, 16), (3, 12)])
+def test_primitives_of_P_are_as_many_as_its_words(cap, top):
+    # a coproduct-free count of the primitive kernel, measured rather than
+    # proved: it fits H_*QP being bipolynomial, so that its primitives and
+    # its indecomposables (one for each word) have the same dimensions
+    for d in range(1, top + 1):
+        assert len(primitive_subspace(P, d, cap)) == len(admissible_words(P, d, cap)), d
+
+
+@pytest.mark.parametrize(
+    "space, cap, top",
+    [
+        (P, 2, 16),
+        (P, 3, 12),
+        (S1, 3, 16),
+        (SigmaCPplus(), 2, 14),
+        (RealProj(shift=1), 2, 14),
+        (Sphere(2), 2, 16),
+    ],
+)
+def test_indecomposable_parts_of_primitives_are_the_kernel_of_the_root(space, cap, top):
+    # the indecomposable parts of the primitives span exactly the kernel of
+    # the root on the words.  verify_root_compatibility checks that the
+    # parts lie in the kernel; that they fill it is measured, not proved
+    def rank(masks):
+        return len(masks) - len(_map_kernel(masks))
+
+    for d in range(1, top + 1):
+        words = admissible_words(space, d, cap)
+        row = {mono_word(w): 1 << i for i, w in enumerate(words)}
+        columns: dict = {}
+        images = [
+            sum(1 << columns.setdefault(m, len(columns)) for m in root(frozenset({mono_word(w)})))
+            for w in words
+        ]
+        kernel = _map_kernel(images)
+        parts = [
+            sum(row[m] for m in indecomposable_part(p))
+            for p in primitive_subspace(space, d, cap)
+        ]
+        assert rank(parts) == len(kernel) == rank(parts + kernel), d
 
 
 def test_newton_primitives_lie_in_the_primitive_kernel():
