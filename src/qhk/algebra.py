@@ -281,20 +281,24 @@ def _coproduct_word(w: AdmissibleGen) -> TensorElement:
     return frozenset(out)
 
 
-def _tensor_pow(a: TensorElement, e: int) -> TensorElement:
-    """a^e by repeated squaring.  The product starts from the lowest power
-    of a that it needs, not from the unit, and squares only while bits of
-    e remain, so a^1 is a itself."""
+def _pow(x, e: int, one, mul, square):
+    """x^e by repeated squaring.  The product starts from the lowest power
+    of x that it needs, not from the unit, and squares only while bits of
+    e remain, so x^1 is x itself."""
     if not e:
-        return TENSOR_ONE
+        return one
     out = None
     while True:
         if e & 1:
-            out = a if out is None else _tensor_mul(out, a)
+            out = x if out is None else mul(out, x)
         e >>= 1
         if not e:
             return out
-        a = _tensor_square(a)
+        x = square(x)
+
+
+def _tensor_pow(a: TensorElement, e: int) -> TensorElement:
+    return _pow(a, e, TENSOR_ONE, _tensor_mul, _tensor_square)
 
 
 def _coproduct_mono(m: Monomial) -> TensorElement:

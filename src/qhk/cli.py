@@ -198,7 +198,15 @@ def main(argv=None) -> int:
             return 2
         bounds = (args.space, args.degree, args.max_length)
         if args.command == "basis":
-            basis = load_or_compute(args.cache, *bounds) if args.cache else monomial_basis(*bounds)
+            if not args.cache:
+                basis = monomial_basis(*bounds)
+            else:
+                try:
+                    basis = load_or_compute(args.cache, *bounds)
+                except OSError as err:
+                    msg = f"error: cannot use cache directory {args.cache}: {err.strerror or err}"
+                    print(msg, file=sys.stderr)
+                    return 2
             subspace = [frozenset({m}) for m in basis]
         else:
             fn = {

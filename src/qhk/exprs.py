@@ -26,6 +26,7 @@ from .algebra import (
     EL_ZERO,
     Element,
     Monomial,
+    _pow,
     apply_q,
     el_degree,
     el_mul,
@@ -72,17 +73,6 @@ def _lex(text: str) -> list[tuple[str, str, int]]:
             out.append(("exp", exp[1:], m.start()))
         else:
             out.append((punct, punct, m.start()))
-    return out
-
-
-def _el_pow(el: Element, e: int) -> Element:
-    out = EL_ONE
-    sq = el
-    while e:
-        if e & 1:
-            out = el_mul(out, sq)
-        sq = el_square(sq)
-        e >>= 1
     return out
 
 
@@ -136,7 +126,7 @@ class _Parser:
         el = self.atom()
         if self.peek()[0] == "exp":
             _, evalue, _ = self.take()
-            el = _el_pow(el, int(evalue))
+            el = _pow(el, int(evalue), EL_ONE, el_mul, el_square)
         return el
 
     def atom(self) -> Element:

@@ -24,7 +24,6 @@ from operator import or_, xor
 
 from .algebra import (
     EL_ZERO,
-    MONO_ONE,
     Element,
     Monomial,
     _tensor_mul,  # unused here; bench/layers.py still times it as a boundary
@@ -34,7 +33,6 @@ from .algebra import (
     el_mul,
     el_square,
     indecomposable_part,
-    mono_from_pairs,
     mono_word,
     normalize,
     reduced_coproduct,  # unused here; bench/layers.py still times it as a boundary
@@ -136,40 +134,27 @@ class _WordFields:
     exponent at most d // deg w at a word w, and fields of that width never
     overflow; the low field is wide enough for any integer up to d.  A
     monomial or a tensor term of degree <= d is one int, and multiplying
-    two of them adds their ints.  `right` is the offset of the right
-    exponents from the left ones."""
+    two of them adds their ints.  `pack(m)` puts a monomial in the left
+    exponents; `right` is the offset of the right exponents from the left
+    ones, so low + pack(l) + (pack(r) << right) is the term l (x) r."""
 
     def __init__(self, space: Space, degree: int, max_len: int) -> None:
         self.low = (1 << degree.bit_length()) - 1
-        # word -> (shift, mask) of its exponent field on the left side
-        self.fields: dict[AdmissibleGen, tuple[int, int]] = {}
+        # word -> shift of its exponent field on the left side
+        self.fields: dict[AdmissibleGen, int] = {}
         pos = degree.bit_length()
         for d in range(1, degree + 1):
             width = (degree // d).bit_length()
             for w in admissible_words(space, d, max_len):
-                self.fields[w] = (pos, (1 << width) - 1)
+                self.fields[w] = pos
                 pos += width
         self.right = pos - degree.bit_length()
 
-    def pack(self, low: int, left: Monomial, right: Monomial = MONO_ONE) -> int:
-        x = low
-        for w, e in left.factors:
-            x += e << self.fields[w][0]
-        for w, e in right.factors:
-            x += e << (self.fields[w][0] + self.right)
+    def pack(self, m: Monomial) -> int:
+        x = 0
+        for w, e in m.factors:
+            x += e << self.fields[w]
         return x
-
-    def unpack(self, x: int) -> tuple[int, Monomial, Monomial]:
-        """The low field and the left and right monomials of a term."""
-        sides = []
-        for off in (0, self.right):
-            pairs = []
-            for w, (shift, mask) in self.fields.items():
-                e = (x >> (shift + off)) & mask
-                if e:
-                    pairs.append((w, e))
-            sides.append(mono_from_pairs(pairs))
-        return x & self.low, sides[0], sides[1]
 
 
 class _DegreePacking(_WordFields):
@@ -180,7 +165,8 @@ class _DegreePacking(_WordFields):
     <= d, so the fields never overflow.  Squaring a term doubles its int
     (Frobenius is additive mod 2).
 
-    `word_terms(w)` gives the (low, left, right) terms of one word's image.
+    `word_terms(p, w)` gives the terms of one word's image as ints packed
+    on p; the packing only multiplies them.
     Products drop every term whose low field exceeds `top`: low fields only
     grow under products, so no dropped term could have come back below it.
     A monomial's image keeps the terms whose low field lies in `kept`, a
@@ -211,7 +197,7 @@ class _DegreePacking(_WordFields):
         if key not in self._powers:
             low, inner = self.low, self.inner
             if e == 1:
-                terms = [x for t in self._word_terms(w) if (x := self.pack(*t)) & low in inner]
+                terms = [x for x in self._word_terms(self, w) if x & low in inner]
             else:
                 # the terms of (w^h)^2 are those of w^h, doubled
                 terms = [x for h in self._power(w, e >> 1) if (x := h << 1) & low in inner]
@@ -260,9 +246,9 @@ def _steenrod_packing(space: Space, degree: int, max_len: int) -> _DegreePacking
     degree; the terms of index 2^k are kept."""
     top = 1 << (degree - 1).bit_length() >> 1
 
-    def word_terms(w: AdmissibleGen):
+    def word_terms(p: _DegreePacking, w: AdmissibleGen):
         el = frozenset({mono_word(w)})
-        return ((a, t) for a in range(min(top, w.degree) + 1) for t in sq_down(a, el))
+        return (a + p.pack(t) for a in range(min(top, w.degree) + 1) for t in sq_down(a, el))
 
     kept = (1 << k for k in range(top.bit_length()))
     return _DegreePacking(space, degree, max_len, word_terms, top, kept)
@@ -273,10 +259,11 @@ def _coproduct_packing(space: Space, degree: int, max_len: int) -> _DegreePackin
     0 < deg l <= degree // 2.  The reduced coproduct is cocommutative, so its
     other half is the twist of this one, and the two have the same kernel."""
 
-    def word_terms(w: AdmissibleGen):
+    def word_terms(p: _DegreePacking, w: AdmissibleGen):
         # the whole Δ: its unit terms carry the word to either side of a
         # product
-        return ((l.degree, l, r) for l, r in coproduct(frozenset({mono_word(w)})))
+        el = frozenset({mono_word(w)})
+        return (l.degree + p.pack(l) + (p.pack(r) << p.right) for l, r in coproduct(el))
 
     top = degree // 2
     return _DegreePacking(space, degree, max_len, word_terms, top, range(1, top + 1))
@@ -572,7 +559,7 @@ def verify_root_compatibility(
     shift = fields.right
     lefts = ((fields.low + 1) << shift) - 1  # the low and left fields
     packed: dict[Monomial, int] = {
-        m: fields.pack(0, m)
+        m: fields.pack(m)
         for degree in range(hopf_degree + 1)
         for m in monomial_basis(space, degree, max_len)
     }

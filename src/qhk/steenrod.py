@@ -104,10 +104,6 @@ def _sq_down_mono(a: int, m: Monomial) -> Element:
 def sq_down(a: int, el: Element) -> Element:
     if a < 0:
         raise ValueError("Steenrod index must be >= 0")
-    if len(el) == 1:
-        # the memoized image of the one monomial, uncopied
-        (m,) = el
-        return _sq_down_mono(a, m)
     out: set = set()
     for m in el:
         out ^= _sq_down_mono(a, m)

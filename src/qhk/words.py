@@ -136,8 +136,9 @@ def admissible_words(space: Space, degree: int, max_len: int) -> tuple[Admissibl
         for g in generators(space, gen_deg):
             for s in range(1, max_len + 1):
                 budget = degree - (2**s) * gen_deg
-                if budget < 2**s - 1:   # all entries >= 1 costs at least this
-                    continue
+                # entries >= 1 cost 2^s - 1, so neither s nor more operations fit
+                if budget < 2**s - 1:
+                    break
                 for entries in _lower_sequences(s, budget, 1, 1):
                     found.append(AdmissibleGen(ops_from_lower(entries, gen_deg), g))
     found.sort(key=word_sort_key)

@@ -156,6 +156,20 @@ def test_cache_flag_round_trip(tmp_path, capsys):
     assert path.read_bytes() == stamp
 
 
+def test_unusable_cache_directory_is_a_usage_error(tmp_path, capsys):
+    # a regular file where the directory should be, and a directory where
+    # the cache file should be
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_bytes(b"")
+    cache_path(tmp_path, RealProj(), 3, 2).mkdir()
+    for cache in (not_a_dir, tmp_path):
+        argv = ["basis", "--space", "P", "--degree", "3", "--cache", str(cache)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot use cache directory {cache}: ")
+        assert err.count("\n") == 1
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "qhk.cli", "normalize", "Q^1 a1"],

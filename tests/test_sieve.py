@@ -10,7 +10,6 @@ import qhk.sieve
 from qhk.algebra import (
     EL_ONE,
     EL_ZERO,
-    MONO_ONE,
     _coproduct_mono,
     _coproduct_word,
     _tensor_pow,
@@ -214,29 +213,24 @@ def _powers_of_two_below(degree):
 
 
 def _check_packed_terms(space, degree, cap, monomials, st=None, cp=None):
+    # the expected terms packed one by one, as a list: the sorted lists can
+    # only agree when packing keeps distinct terms distinct
     st = st or _steenrod_packing(space, degree, cap)
     cp = cp or _coproduct_packing(space, degree, cap)
     for m in monomials:
+        el = frozenset({m})
         terms = st.terms(m)
         assert len(set(terms)) == len(terms)
-        got: dict = {}
-        for x in terms:
-            a, left, right = st.unpack(x)
-            assert right == MONO_ONE
-            got.setdefault(a, set()).add(left)
-        want = {a: set(sq_down(a, frozenset({m}))) for a in _powers_of_two_below(degree)}
-        assert got == {a: t for a, t in want.items() if t}, m
+        want = [a + st.pack(t) for a in _powers_of_two_below(degree) for t in sq_down(a, el)]
+        assert sorted(terms) == sorted(want), m
         terms = cp.terms(m)
         assert len(set(terms)) == len(terms)
-        got_pairs = set()
-        for x in terms:
-            low, left, right = cp.unpack(x)
-            assert low == left.degree
-            got_pairs.add((left, right))
-        want_pairs = {
-            (l, r) for l, r in reduced_coproduct(frozenset({m})) if 0 < l.degree <= degree // 2
-        }
-        assert got_pairs == want_pairs, m
+        want = [
+            l.degree + cp.pack(l) + (cp.pack(r) << cp.right)
+            for l, r in reduced_coproduct(el)
+            if 0 < l.degree <= degree // 2
+        ]
+        assert sorted(terms) == sorted(want), m
 
 
 def _element_images(space, degree, cap):
@@ -627,6 +621,37 @@ def test_indecomposable_parts_of_primitives_are_the_kernel_of_the_root(space, ca
             for p in primitive_subspace(space, d, cap)
         ]
         assert rank(parts) == len(kernel) == rank(parts + kernel), d
+
+
+@pytest.mark.parametrize(
+    "space, cap, top",
+    [
+        (P, 2, 14),
+        (P, 3, 12),
+        (S1, 3, 16),
+        (SigmaCPplus(), 2, 14),
+        (RealProj(shift=1), 2, 13),
+        (Sphere(2), 2, 14),
+    ],
+)
+def test_pure_power_left_legs_give_the_primitive_kernel(space, cap, top):
+    # x of degree d is primitive exactly when its reduced coproduct has no
+    # term l (x) r with deg l <= d/2 and l = w^(2^j), one word to a power of
+    # 2 (least nonzero left degree, coassociativity, then Milnor-Moore).
+    # _map_kernel's output depends only on the kernel, so eliminating those
+    # terms alone must give the primitive kernel's masks exactly
+    for d in range(1, top + 1):
+        columns: dict = {}
+        rows = []
+        for m in monomial_basis(space, d, cap):
+            row = 0
+            for l, r in reduced_coproduct(frozenset({m})):
+                if l.degree <= d // 2 and len(l.factors) == 1:
+                    e = l.factors[0][1]
+                    if e & (e - 1) == 0:
+                        row |= 1 << columns.setdefault((l, r), len(columns))
+            rows.append(row)
+        assert _map_kernel(rows) == list(_primitive_kernel(space, d, cap)), d
 
 
 def test_newton_primitives_lie_in_the_primitive_kernel():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import time
 
 import pytest
 
@@ -138,6 +139,19 @@ def test_known_basis_counts_low_degrees_sphere():
         1,  # Q^5 g1
         2,  # Q^6 g1 and Q^4 Q^2 g1
     ]
+
+
+def test_enumeration_stops_at_the_exact_length_bound():
+    # below degree 17 no word has more than 4 operations (the least degree of
+    # s of them is 2^s (deg x + 1) - 1), so a huge cap lists the same words;
+    # the enumeration must stop there, not loop over the lengths above it
+    t0 = time.perf_counter()
+    for space in (RealProj(), Sphere(1), SigmaCPplus()):
+        for degree in range(1, 17):
+            huge_cap = admissible_words(space, degree, 5000)
+            assert huge_cap == admissible_words(space, degree, 4)
+    dt = time.perf_counter() - t0
+    assert dt < 1, f"enumeration at cap 5000 exceeded its 1s budget: {dt:.1f}s"
 
 
 def test_word_sort_key_orders_by_length_first():
