@@ -16,12 +16,18 @@ generator by the excess rule
 zeros sit in a prefix; an index equal to the degree squares, below kills).
 Composites and powers reduce to that via the Cartan formula and
 Q^n(v^2) = (Q^{n/2} v)^2 for even n, 0 for odd n; _cartan states both
-rules once, for Q^n here and for the dual Steenrod action.  Word keys are
-total (the space kind breaks the last ties), so products are plain merges.
+rules once, for Q^n here and for the dual Steenrod action.  The coproduct
+of a word iterates the Cartan formula down its sequence:
+
+    Δ(Q^I x) = sum over x' (x) x'' in Δx and I = J + K of Q^J x' (x) Q^K x''.
+
+Word keys are total (the space kind breaks the last ties), so products are
+plain merges.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 
@@ -261,23 +267,16 @@ TENSOR_ONE: TensorElement = frozenset({(MONO_ONE, MONO_ONE)})
 
 @lru_cache(maxsize=None)
 def _coproduct_word(w: AdmissibleGen) -> TensorElement:
-    if not w.ops:
-        out: set = {(mono_word(w), MONO_ONE), (MONO_ONE, mono_word(w))}
-        for gl, gr in reduced_coproduct_gen(w.gen):
-            out ^= {(mono_word(AdmissibleGen((), gl)), mono_word(AdmissibleGen((), gr)))}
-        return frozenset(out)
-    n = w.ops[0]
-    inner = _coproduct_word(AdmissibleGen(w.ops[1:], w.gen))
-    out = set()
-    for l, r in inner:
-        for i in range(n + 1):
-            li = _apply_q_mono(i, l)
-            if not li:
-                continue
-            rj = _apply_q_mono(n - i, r)
-            for ml in li:
-                for mr in rj:
-                    out ^= {(ml, mr)}
+    """The formula in the module docstring: a 0 entry in J or K kills a leg of
+    positive degree, and a unit leg lives only in the two unit terms."""
+    m = mono_word(w)
+    out: set = {(m, MONO_ONE), (MONO_ONE, m)}
+    for gl, gr in reduced_coproduct_gen(w.gen):
+        for j in itertools.product(*(range(1, i) for i in w.ops)):
+            left = normalize(j, gl)
+            if left:
+                right = normalize(tuple(i - ji for i, ji in zip(w.ops, j)), gr)
+                out ^= {(ml, mr) for ml in left for mr in right}
     return frozenset(out)
 
 

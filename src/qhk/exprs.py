@@ -98,7 +98,7 @@ class _Parser:
         while self.peek()[0] == "+":
             self.take()
             other = self.term()
-            el = frozenset(set(el) ^ set(other))
+            el = el ^ other
         return el
 
     def term(self) -> Element:

@@ -15,7 +15,6 @@ odd-degree classes over an unsuspended space in the spherical-form check).
 
 from __future__ import annotations
 
-import itertools
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
@@ -44,7 +43,7 @@ from .exprs import format_element
 from .mod2 import lowest_zero_bit
 from .spaces import Space, gen_degree, is_gen_A_annihilated, is_suspension_like, space_name
 from .steenrod import element_is_A_annihilated, madsen_action, sq_down, word_is_A_annihilated
-from .words import AdmissibleGen, admissible_words, excess, is_admissible_ops, word_sort_key
+from .words import AdmissibleGen, admissible_words, excess, word_sort_key
 
 
 # -- GF(2) kernels ------------------------------------------------------------
@@ -687,10 +686,18 @@ def run_verifier(
 # -- the sequence-level excess drop ----------------------------------------------
 
 def _admissible_sequences(max_sum: int, max_len: int):
-    for s in range(1, max_len + 1):
-        for seq in itertools.product(range(1, max_sum + 1), repeat=s):
-            if sum(seq) <= max_sum and is_admissible_ops(seq):
-                yield seq
+    """By length, then lexicographically; an entry is appended only if the
+    sum leaves at least 1 for each entry still to come."""
+
+    def grow(prefix: tuple[int, ...], room: int, left: int):
+        if not left:
+            yield prefix
+            return
+        for i in range((prefix[-1] + 1) // 2 if prefix else 1, room - left + 2):
+            yield from grow(prefix + (i,), room - i, left - 1)
+
+    for s in range(1, min(max_len, max_sum) + 1):
+        yield from grow((), max_sum, s)
 
 
 def check_curtis_bound(max_sum: int, max_len: int) -> tuple[int, list[str]]:

@@ -8,9 +8,10 @@ with C(negative, *) = 0 (the binomial counts honest lattice paths here, so
 no 2-adic reading).  Pushing a formal Sq^a through a whole index sequence
 this way, the terms whose residual Steenrod index hits zero form the
 sequence-level action on bare words; the rest hand a lower operation to the
-generator.  Element-level sq_down interleaves the same recursion with the
-unstable evaluation on one word, and takes products and powers to the Cartan
-rule that Q^n shares, algebra._cartan.
+generator.  Element-level sq_down reads a word's image off the same
+expansion, Sq^a Q^I x = sum Q^K Sq^r x, each term straightened and collapsed
+by normalize, and takes products and powers to the Cartan rule that Q^n
+shares, algebra._cartan.
 
 The annihilation criterion for a basis word Q^I x tests, writing rho for
 the lowest zero bit:
@@ -33,19 +34,12 @@ from .algebra import (
     Element,
     Monomial,
     _cartan,
-    apply_q,
     el_degree,
-    el_gen,
-    mono_word,
     normalize,
 )
 from .mod2 import binom_mod2, lowest_zero_bit
 from .spaces import gen_degree, is_gen_A_annihilated, sq_down_gen
 from .words import AdmissibleGen, excess
-
-
-def _coef(n: int, k: int) -> int:
-    return 0 if n < 0 else binom_mod2(n, k)
 
 
 @lru_cache(maxsize=None)
@@ -62,7 +56,7 @@ def nishida_expansion(a: int, seq: tuple[int, ...]) -> frozenset[tuple[tuple[int
     i1, rest = seq[0], seq[1:]
     out: set = set()
     for t in range(a // 2 + 1):
-        if _coef(i1 - a, a - 2 * t):
+        if i1 >= a and binom_mod2(i1 - a, a - 2 * t):
             head = i1 - a + t   # >= 1 whenever the coefficient survives
             for k, r in nishida_expansion(t, rest):
                 out ^= {((head,) + k, r)}
@@ -89,15 +83,11 @@ def _sq_down_mono(a: int, m: Monomial) -> Element:
     w, e = m.factors[0]
     if e > 1 or len(m.factors) > 1:
         return _cartan(_sq_down_mono, a, m)
-    if not w.ops:
-        target = sq_down_gen(a, w.gen)
-        return EL_ZERO if target is None else el_gen(target)
-    i1 = w.ops[0]
-    tail = mono_word(AdmissibleGen(w.ops[1:], w.gen))
     out: set = set()
-    for t in range(a // 2 + 1):
-        if _coef(i1 - a, a - 2 * t):
-            out ^= apply_q(i1 - a + t, _sq_down_mono(t, tail))
+    for k, r in nishida_expansion(a, w.ops):
+        y = sq_down_gen(r, w.gen) if r else w.gen
+        if y is not None:
+            out ^= normalize(k, y)
     return frozenset(out)
 
 

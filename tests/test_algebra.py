@@ -193,6 +193,26 @@ def test_coproduct_commutes_with_operations():
         assert lhs == frozenset(rhs)
 
 
+def test_coproduct_of_a_word_matches_the_cartan_recursion():
+    # reference: Δ Q^n w' = sum_{i+j=n} (Q^i (x) Q^j) Δ w', one operation at
+    # a time through apply_q, for every word of four spaces to degree 20
+    words = dict.fromkeys(
+        w for name in ("P", "S1", "SCP", "P^s1") for cap in (2, 3)
+        for d in range(1, 21) for w in admissible_words(parse_space(name), d, cap)
+    )
+    for w in words:
+        if not w.ops:
+            continue
+        n = w.ops[0]
+        rhs: set = set()
+        for l, r in coproduct(word_el(w.ops[1:], w.gen)):
+            for i in range(n + 1):
+                for ml in apply_q(i, frozenset({l})):
+                    for mr in apply_q(n - i, frozenset({r})):
+                        rhs ^= {(ml, mr)}
+        assert coproduct(word_el(w.ops, w.gen)) == frozenset(rhs), w
+
+
 def _naive_pow(a, e):
     """a^e as the e-fold product, starting from the unit."""
     out = TENSOR_ONE

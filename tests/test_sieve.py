@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import time
 
 import pytest
 
@@ -29,6 +30,7 @@ from qhk.cache import basis_to_bytes
 from qhk.exprs import format_element, parse_element
 from qhk.sieve import (
     VerifyReport,
+    _admissible_sequences,
     annihilated_subspace,
     check_curtis_bound,
     _coproduct_packing,
@@ -48,7 +50,7 @@ from qhk.sieve import (
 )
 from qhk.spaces import Generator, RealProj, SigmaCPplus, Sphere
 from qhk.steenrod import element_is_A_annihilated, sq_down
-from qhk.words import AdmissibleGen, admissible_words
+from qhk.words import AdmissibleGen, admissible_words, is_admissible_ops
 
 P = RealProj()
 S1 = Sphere(1)
@@ -723,6 +725,28 @@ def test_curtis_bound_small():
     checked, failures = check_curtis_bound(16, 3)
     assert checked > 0
     assert failures == []
+
+
+@pytest.mark.parametrize("max_sum, max_len", [(5, 3), (8, 4), (12, 5), (16, 3), (8, 8), (6, 9)])
+def test_admissible_sequences_match_the_filtered_product(max_sum, max_len):
+    # reference: every tuple of each length, filtered by sum and
+    # admissibility; at length s no entry of a kept tuple exceeds max_sum - s + 1
+    brute = [
+        seq
+        for s in range(1, max_len + 1)
+        for seq in itertools.product(range(1, max_sum - s + 2), repeat=s)
+        if sum(seq) <= max_sum and is_admissible_ops(seq)
+    ]
+    assert list(_admissible_sequences(max_sum, max_len)) == brute
+
+
+def test_curtis_bound_at_length_eight_is_quick():
+    # lengths above the sum bound hold no sequence, and no prefix is
+    # extended past what the sum allows
+    t0 = time.perf_counter()
+    assert check_curtis_bound(8, 8) == (146, [])
+    dt = time.perf_counter() - t0
+    assert dt < 1, f"check_curtis_bound(8, 8) exceeded its 1s budget: {dt:.1f}s"
 
 
 def test_indecomposable_sampling_consistency():

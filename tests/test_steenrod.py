@@ -4,20 +4,23 @@ import random
 
 import pytest
 
-from qhk.adem import admissible_expansion
 from qhk.algebra import (
     EL_ZERO,
+    _apply_q_mono,
+    _coproduct_word,
+    apply_q,
     coproduct,
     el_add,
     el_gen,
     el_mul,
     el_square,
     mono_word,
-    normalize,
 )
+from qhk.mod2 import binom_mod2
 from qhk.sieve import monomial_basis
-from qhk.spaces import RealProj, Sphere, parse_gen, sq_down_gen
+from qhk.spaces import RealProj, Sphere, parse_gen, parse_space, sq_down_gen
 from qhk.steenrod import (
+    _sq_down_mono,
     element_is_A_annihilated,
     madsen_action,
     mono_height,
@@ -144,31 +147,51 @@ def test_sq_down_cartan():
         assert lhs == rhs
 
 
-def test_sq_down_matches_raw_expansion_then_normalize():
-    # independent evaluation path: push the formal operation all the way
-    # through the sequence, hit the generator with the residual, then
-    # straighten; must agree with the interleaved unstable computation
-    for space, gens in ((Sphere(1), (g1,)), (RealProj(), (a1, a2, a3))):
-        for g in gens:
-            for degree in range(2, 15):
-                for w in admissible_words(space, degree, 3):
-                    if w.gen != g or not w.ops:
-                        continue
-                    for a in range(1, degree):
-                        via_raw = EL_ZERO
-                        for k, r in nishida_expansion(a, w.ops):
-                            if r == 0:
-                                target = el_gen(w.gen)
-                            else:
-                                tg = sq_down_gen(r, w.gen)
-                                if tg is None:
-                                    continue
-                                target = el_gen(tg)
-                            image = EL_ZERO
-                            for m in target:
-                                image = el_add(image, normalize(k, m.factors[0][0].gen))
-                            via_raw = el_add(via_raw, image)
-                        assert via_raw == sq_down(a, frozenset({mono_word(w)})), (w, a)
+def _words_to_degree_20():
+    return tuple(dict.fromkeys(
+        w for name in ("P", "S1", "SCP", "P^s1") for cap in (2, 3)
+        for d in range(1, 21) for w in admissible_words(parse_space(name), d, cap)
+    ))
+
+
+def test_word_images_leave_the_q_action_table_empty():
+    # Sq^a and Δ of a word are one formula each through normalize, so
+    # computing them afresh never asks the Q-action on monomials
+    _apply_q_mono.cache_clear()
+    _sq_down_mono.cache_clear()
+    _coproduct_word.cache_clear()
+    for w in _words_to_degree_20():
+        el = frozenset({mono_word(w)})
+        coproduct(el)
+        for a in range(w.degree + 1):
+            sq_down(a, el)
+    assert _apply_q_mono.cache_info().currsize == 0
+
+
+def test_sq_down_matches_the_nishida_recursion_through_apply_q():
+    # reference: Sq^a Q^i y = sum_t C(i - a, a - 2t) Q^{i-a+t} Sq^t y, one
+    # operation at a time through apply_q, down to Sq^t on the generator
+    memo: dict = {}
+
+    def reference(a: int, w: AdmissibleGen):
+        if a == 0:
+            return word_el(w.ops, w.gen)
+        if (a, w) not in memo:
+            if not w.ops:
+                target = sq_down_gen(a, w.gen)
+                out = EL_ZERO if target is None else el_gen(target)
+            else:
+                i, tail = w.ops[0], W(w.ops[1:], w.gen)
+                out = EL_ZERO
+                for t in range(a // 2 + 1):
+                    if i >= a and binom_mod2(i - a, a - 2 * t):
+                        out = el_add(out, apply_q(i - a + t, reference(t, tail)))
+            memo[a, w] = out
+        return memo[a, w]
+
+    for w in _words_to_degree_20():
+        for a in range(w.degree + 1):
+            assert sq_down(a, word_el(w.ops, w.gen)) == reference(a, w), (w, a)
 
 
 def test_sq_down_composition_respects_dual_adem_relations():
