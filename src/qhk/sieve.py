@@ -48,24 +48,27 @@ from .words import AdmissibleGen, admissible_words, excess, word_sort_key
 
 # -- GF(2) kernels ------------------------------------------------------------
 
-def _map_kernel(images: list[int]) -> list[int]:
-    """Kernel of e_i -> images[i], as domain bitmasks, by elimination with
-    trackers.  Deterministic in the input order, and independent of how the
-    target columns are numbered: row i yields a kernel vector exactly when
-    its image lies in the span of the earlier images, and its tracker is the
-    unique way of writing it over the earlier independent rows."""
-    lead: dict[int, tuple[int, int]] = {}
+def _map_kernel(rows) -> list[int]:
+    """Kernel of e_i -> rows[i], as domain bitmasks, by elimination with
+    trackers.  A row is the set of its terms, distinct int keys, and each
+    step pivots on the largest key left.  Deterministic in the input order,
+    and independent of which keys name the target columns and how they
+    compare: row i yields a kernel vector exactly when its image lies in the
+    span of the earlier rows, and its tracker is the unique way of writing
+    it over the earlier independent rows."""
+    lead: dict[int, tuple[set[int], int]] = {}
     out = []
-    for i, img in enumerate(images):
+    for i, row in enumerate(rows):
+        img = set(row)
         trk = 1 << i
         while img:
-            top = img.bit_length() - 1
+            top = max(img)
             if top not in lead:
                 lead[top] = (img, trk)
                 break
-            img2, trk2 = lead[top]
-            img ^= img2
-            trk ^= trk2
+            lead_img, lead_trk = lead[top]
+            img ^= lead_img
+            trk ^= lead_trk
         else:
             out.append(trk)
     return out
@@ -73,7 +76,7 @@ def _map_kernel(images: list[int]) -> list[int]:
 
 # -- monomial bases and subspaces ----------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def monomial_basis(space: Space, degree: int, max_len: int) -> tuple[Monomial, ...]:
     """All products of word powers of exactly this degree (word length
     capped), in a fixed enumeration order.  Words ascend in degree, so a
@@ -121,6 +124,7 @@ def basis_dimension(space: Space, degree: int, max_len: int) -> int:
 # Both image passes multiply, factor by factor, the images of the words of a
 # basis monomial.  Within one degree that arithmetic runs on packed
 # exponent vectors: a term is one int, so a product of two terms is an add.
+# A monomial's terms are the row that _map_kernel eliminates.
 # The root verifier's Hopf checks use the same word fields (_WordFields).
 
 class _WordFields:
@@ -142,6 +146,10 @@ class _WordFields:
         # word -> shift of its exponent field on the left side
         self.fields: dict[AdmissibleGen, int] = {}
         pos = degree.bit_length()
+        # fields ascend with word degree: _map_kernel pivots on a row's
+        # largest term, and this order keeps its fill-in low (the Steenrod
+        # kernel over P at degree 22, cap 2, takes twice as long with the
+        # fields descending)
         for d in range(1, degree + 1):
             width = (degree // d).bit_length()
             for w in admissible_words(space, d, max_len):
@@ -222,22 +230,6 @@ class _DegreePacking(_WordFields):
         w, e = factors[-1]
         return self._times(out, self._power(w, e), self.kept)
 
-    def images(self, basis: tuple[Monomial, ...]) -> tuple[int, ...]:
-        """Each monomial's image as a bitmask over its kept terms, numbered
-        in order of first appearance: kernels do not depend on the column
-        numbering (see _map_kernel)."""
-        columns: dict[int, int] = {}
-        out = []
-        for m in basis:
-            cols = [columns.setdefault(x, len(columns)) for x in self.terms(m)]
-            # set the bits in a byte buffer: one big-int shift per column
-            # would copy the whole mask each time
-            buf = bytearray((max(cols, default=0) >> 3) + 1)
-            for c in cols:
-                buf[c >> 3] |= 1 << (c & 7)
-            out.append(int.from_bytes(buf, "little"))
-        return tuple(out)
-
 
 def _steenrod_packing(space: Space, degree: int, max_len: int) -> _DegreePacking:
     """The total Steenrod image is multiplicative (Cartan), so a monomial's
@@ -276,9 +268,9 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _combine(rows, mask: int) -> int:
-    """The sum of the rows a mask selects."""
-    return reduce(xor, (rows[i] for i in _bits(mask)), 0)
+def _combine(rows, mask: int):
+    """The sum of the rows a nonzero mask selects: sets of terms, or masks."""
+    return reduce(xor, (rows[i] for i in _bits(mask)))
 
 
 def _elements(basis: tuple[Monomial, ...], masks) -> tuple[Element, ...]:
@@ -288,7 +280,8 @@ def _elements(basis: tuple[Monomial, ...], masks) -> tuple[Element, ...]:
 def annihilated_subspace(space: Space, degree: int, max_len: int) -> tuple[Element, ...]:
     """Basis of the classes killed by every Sq^{2^k}, within the capped span."""
     basis = monomial_basis(space, degree, max_len)
-    return _elements(basis, _map_kernel(_steenrod_packing(space, degree, max_len).images(basis)))
+    packing = _steenrod_packing(space, degree, max_len)
+    return _elements(basis, _map_kernel(map(packing.terms, basis)))
 
 
 @lru_cache(maxsize=1)
@@ -296,7 +289,7 @@ def _primitive_kernel(space: Space, degree: int, max_len: int) -> tuple[int, ...
     """The primitive basis as masks over the basis monomials, kept for one
     degree at a time; the coproduct images die with the call."""
     basis = monomial_basis(space, degree, max_len)
-    return tuple(_map_kernel(_coproduct_packing(space, degree, max_len).images(basis)))
+    return tuple(_map_kernel(map(_coproduct_packing(space, degree, max_len).terms, basis)))
 
 
 def primitive_subspace(space: Space, degree: int, max_len: int) -> tuple[Element, ...]:
@@ -315,9 +308,8 @@ def spherical_candidates(space: Space, degree: int, max_len: int) -> tuple[Eleme
     top bit, the vector that eliminating the stacked images would give."""
     basis = monomial_basis(space, degree, max_len)
     prims = _primitive_kernel(space, degree, max_len)
-    support = list(_bits(reduce(or_, prims, 0)))
     packing = _steenrod_packing(space, degree, max_len)
-    images = dict(zip(support, packing.images(tuple(basis[i] for i in support))))
+    images = {i: set(packing.terms(basis[i])) for i in _bits(reduce(or_, prims, 0))}
     trackers = _map_kernel([_combine(images, p) for p in prims])
     return _elements(basis, [_combine(prims, t) for t in trackers])
 
@@ -557,11 +549,8 @@ def verify_root_compatibility(
     fields = _WordFields(space, hopf_degree, max_len)
     shift = fields.right
     lefts = ((fields.low + 1) << shift) - 1  # the low and left fields
-    packed: dict[Monomial, int] = {
-        m: fields.pack(m)
-        for degree in range(hopf_degree + 1)
-        for m in monomial_basis(space, degree, max_len)
-    }
+    bases = [monomial_basis(space, degree, max_len) for degree in range(hopf_degree + 1)]
+    packed: dict[Monomial, int] = {m: fields.pack(m) for basis in bases for m in basis}
     delta: dict[int, list[int]] = {
         x: [packed[l] + (packed[r] << shift) for l, r in coproduct(frozenset({m}))]
         for m, x in packed.items()
@@ -578,8 +567,8 @@ def verify_root_compatibility(
                 yield l + (y << shift)
 
     # coassociativity on basis monomials
-    for degree in range(1, hopf_degree + 1):
-        for m in monomial_basis(space, degree, max_len):
+    for basis in bases[1:]:
+        for m in basis:
             report.checked += 1
             if not _vanishes_mod2(coassociator(packed[m])):
                 report.failures.append(
@@ -592,9 +581,9 @@ def verify_root_compatibility(
     # product outside the table has no Δ here, so the sum cannot vanish.
     for d1 in range(1, hopf_degree):
         for d2 in range(d1, hopf_degree - d1 + 1):
-            for m1 in monomial_basis(space, d1, max_len):
+            for m1 in bases[d1]:
                 delta1 = delta[packed[m1]]
-                for m2 in monomial_basis(space, d2, max_len):
+                for m2 in bases[d2]:
                     report.checked += 1
                     (product,) = el_mul(frozenset({m1}), frozenset({m2}))
                     acc = set(delta.get(packed.get(product), ()))

@@ -42,7 +42,6 @@ from .spaces import gen_degree, is_gen_A_annihilated, sq_down_gen
 from .words import AdmissibleGen, excess
 
 
-@lru_cache(maxsize=None)
 def nishida_expansion(a: int, seq: tuple[int, ...]) -> frozenset[tuple[tuple[int, ...], int]]:
     """Formal Sq^a pushed through Q^seq: pairs (output sequence, residual
     Steenrod index left for whatever the sequence was applied to).  Raw,
@@ -78,7 +77,8 @@ def madsen_action(a: int, seq: tuple[int, ...], normalized: bool = False) -> fro
 def _sq_down_mono(a: int, m: Monomial) -> Element:
     if a == 0:
         return frozenset({m})
-    if not m.factors:
+    if a > m.degree:
+        # the target degree is negative
         return EL_ZERO
     w, e = m.factors[0]
     if e > 1 or len(m.factors) > 1:

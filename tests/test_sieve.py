@@ -49,7 +49,7 @@ from qhk.sieve import (
     verify_suspension_factorization,
 )
 from qhk.spaces import Generator, RealProj, SigmaCPplus, Sphere
-from qhk.steenrod import element_is_A_annihilated, sq_down
+from qhk.steenrod import element_is_A_annihilated, nishida_expansion, sq_down
 from qhk.words import AdmissibleGen, admissible_words, is_admissible_ops
 
 P = RealProj()
@@ -60,8 +60,37 @@ SPACES = (P, S1, Sphere(2), SigmaCPplus(), RealProj(shift=1), SigmaCPplus(shift=
 # -- kernels -------------------------------------------------------------------
 
 def _columns(rows):
-    """The 0/1 matrix with these rows, as _map_kernel's column bitmasks."""
-    return [sum(r[j] << k for k, r in enumerate(rows)) for j in range(len(rows[0]))]
+    """The 0/1 matrix with these rows, as _map_kernel's columns: each the
+    list of the rows where it has a 1."""
+    return [[k for k, r in enumerate(rows) if r[j]] for j in range(len(rows[0]))]
+
+
+def _positions(mask):
+    """An int mask as a row of keys: the positions of its set bits."""
+    return [j for j in range(mask.bit_length()) if (mask >> j) & 1]
+
+
+def _dense_kernel(images: list[int]) -> list[int]:
+    """Kernel of e_i -> images[i], as domain bitmasks, by elimination with
+    trackers.  Deterministic in the input order, and independent of how the
+    target columns are numbered: row i yields a kernel vector exactly when
+    its image lies in the span of the earlier images, and its tracker is the
+    unique way of writing it over the earlier independent rows."""
+    lead: dict[int, tuple[int, int]] = {}
+    out = []
+    for i, img in enumerate(images):
+        trk = 1 << i
+        while img:
+            top = img.bit_length() - 1
+            if top not in lead:
+                lead[top] = (img, trk)
+                break
+            img2, trk2 = lead[top]
+            img ^= img2
+            trk ^= trk2
+        else:
+            out.append(trk)
+    return out
 
 
 def _vectors(masks, n):
@@ -107,41 +136,64 @@ def test_map_kernel_against_brute_force():
         assert 2 ** len(masks) == len(span)
 
 
-def _permute_bits(mask, perm):
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << perm[low.bit_length() - 1]
-        mask ^= low
-    return out
+def _terms_rows(packing, basis):
+    return [packing.terms(m) for m in basis]
 
 
 def test_map_kernel_ignores_column_numbering():
+    # relabel the keys by a random injective map, which does not keep their
+    # order, so the pivots fall on other columns
     import random
 
     rng = random.Random(11)
     cases = [
-        [rng.getrandbits(ncols) for _ in range(nrows)]
+        [_positions(rng.getrandbits(ncols)) for _ in range(nrows)]
         for nrows, ncols in ((1, 1), (6, 3), (12, 12), (30, 20), (40, 64))
         for _ in range(10)
     ]
-    # the sieve's own images, whose kernels are long and dense
-    cases.append(list(_coproduct_packing(P, 9, 2).images(monomial_basis(P, 9, 2))))
-    cases.append(list(_steenrod_packing(S1, 12, 3).images(monomial_basis(S1, 12, 3))))
-    for images in cases:
-        ncols = max((im.bit_length() for im in images), default=0)
-        want = _map_kernel(images)
+    # the sieve's own rows, whose kernels are long and dense
+    cases.append(_terms_rows(_coproduct_packing(P, 9, 2), monomial_basis(P, 9, 2)))
+    cases.append(_terms_rows(_steenrod_packing(S1, 12, 3), monomial_basis(S1, 12, 3)))
+    for rows in cases:
+        keys = sorted({x for row in rows for x in row})
+        want = _map_kernel(rows)
         for _ in range(5):
-            perm = list(range(ncols))
-            rng.shuffle(perm)
-            assert _map_kernel([_permute_bits(im, perm) for im in images]) == want
+            label = dict(zip(keys, rng.sample(range(3 * len(keys) + 1), len(keys))))
+            assert _map_kernel([[label[x] for x in row] for row in rows]) == want
 
 
 def test_map_kernel_small():
-    assert _map_kernel([1, 1]) == [0b11]
-    assert _map_kernel([0]) == [1]
-    assert _map_kernel([1, 2, 3]) == [0b111]
-    assert _map_kernel([5, 3]) == []
+    assert _map_kernel([[0], [0]]) == [0b11]
+    assert _map_kernel([[]]) == [1]
+    assert _map_kernel([[0], [1], [0, 1]]) == [0b111]
+    assert _map_kernel([[0, 2], [0, 1]]) == []
+
+
+def _first_seen_masks(rows):
+    """Rows of keys as bitmasks over column numbers handed out in order of
+    first appearance."""
+    columns: dict = {}
+    return [sum(1 << columns.setdefault(x, len(columns)) for x in row) for row in rows]
+
+
+def test_map_kernel_matches_the_dense_eliminator():
+    # the bitmask eliminator pivots on the top column number; both output
+    # only what the kernel fixes, so they agree on every input
+    import random
+
+    rng = random.Random(5)
+    for nrows, ncols in ((1, 1), (6, 3), (12, 12), (30, 20), (40, 64), (64, 40)):
+        for _ in range(10):
+            masks = [rng.getrandbits(ncols) for _ in range(nrows)]
+            assert _map_kernel(map(_positions, masks)) == _dense_kernel(masks)
+    cases = [(P, 2, degree) for degree in range(9, 14)] + [(S1, 3, 12)]
+    for space, cap, degree in cases:
+        basis = monomial_basis(space, degree, cap)
+        for packing in (_steenrod_packing, _coproduct_packing):
+            rows = _terms_rows(packing(space, degree, cap), basis)
+            assert _map_kernel(rows) == _dense_kernel(_first_seen_masks(rows)), (
+                space, degree, packing.__name__,
+            )
 
 
 # -- bases ---------------------------------------------------------------------
@@ -237,21 +289,28 @@ def _check_packed_terms(space, degree, cap, monomials, st=None, cp=None):
 
 def _element_images(space, degree, cap):
     """The Steenrod and reduced-coproduct images of each basis monomial,
-    computed term by term in the Element layer, as bitmasks."""
+    computed term by term in the Element layer, as rows of column numbers
+    handed out in order of first appearance."""
     st_cols: dict = {}
     cp_cols: dict = {}
     st, cp = [], []
     for m in monomial_basis(space, degree, cap):
-        mask = 0
-        for a in _powers_of_two_below(degree):
-            for t in sq_down(a, frozenset({m})):
-                mask |= 1 << st_cols.setdefault((a, t), len(st_cols))
-        st.append(mask)
-        mask = 0
-        for pair in reduced_coproduct(frozenset({m})):
-            mask |= 1 << cp_cols.setdefault(pair, len(cp_cols))
-        cp.append(mask)
+        st.append([
+            st_cols.setdefault((a, t), len(st_cols))
+            for a in _powers_of_two_below(degree)
+            for t in sq_down(a, frozenset({m}))
+        ])
+        cp.append([
+            cp_cols.setdefault(pair, len(cp_cols)) for pair in reduced_coproduct(frozenset({m}))
+        ])
     return st, cp
+
+
+def _stacked(st, cp):
+    """Each Steenrod row beside its coproduct row, the coproduct keys offset
+    above every Steenrod key."""
+    shift = 1 + max((x for row in st for x in row), default=-1)
+    return [a + [x + shift for x in b] for a, b in zip(st, cp)]
 
 
 def _elements(space, degree, cap, masks):
@@ -268,7 +327,6 @@ def test_packed_images_match_the_element_layer(space, cap, top):
     for degree in range(1, top + 1):
         _check_packed_terms(space, degree, cap, monomial_basis(space, degree, cap))
         st, cp = _element_images(space, degree, cap)
-        shift = max((im.bit_length() for im in st), default=0)
         assert annihilated_subspace(space, degree, cap) == _elements(
             space, degree, cap, _map_kernel(st)
         )
@@ -276,7 +334,7 @@ def test_packed_images_match_the_element_layer(space, cap, top):
             space, degree, cap, _map_kernel(cp)
         )
         assert spherical_candidates(space, degree, cap) == _elements(
-            space, degree, cap, _map_kernel([a | (b << shift) for a, b in zip(st, cp)])
+            space, degree, cap, _map_kernel(_stacked(st, cp))
         )
 
 
@@ -288,10 +346,9 @@ def test_candidates_match_the_stacked_elimination(space, cap, degrees):
     # basis; one elimination of the stacked packed images gives the same basis
     for degree in degrees:
         basis = monomial_basis(space, degree, cap)
-        st = _steenrod_packing(space, degree, cap).images(basis)
-        cp = _coproduct_packing(space, degree, cap).images(basis)
-        shift = max((im.bit_length() for im in st), default=0)
-        stacked = _map_kernel([a | (b << shift) for a, b in zip(st, cp)])
+        st = _terms_rows(_steenrod_packing(space, degree, cap), basis)
+        cp = _terms_rows(_coproduct_packing(space, degree, cap), basis)
+        stacked = _map_kernel(_stacked(st, cp))
         assert spherical_candidates(space, degree, cap) == _elements(
             space, degree, cap, stacked
         ), degree
@@ -517,8 +574,8 @@ def test_verify_root_catches_a_wrong_cube(monkeypatch, unmemoized_coproducts):
 def _rank(elements) -> int:
     """The dimension of the span of these elements."""
     columns: dict = {}
-    masks = [sum(1 << columns.setdefault(m, len(columns)) for m in el) for el in elements]
-    return len(masks) - len(_map_kernel(masks))
+    rows = [[columns.setdefault(m, len(columns)) for m in el] for el in elements]
+    return len(rows) - len(_map_kernel(rows))
 
 
 @pytest.mark.parametrize(
@@ -552,7 +609,7 @@ def test_milnor_moore_squares_and_roots(space, cap, top):
         images = []
         for m in monomial_basis(space, d // 2, cap):
             terms = reduced_coproduct(el_square(frozenset({m})))
-            images.append(sum(1 << columns.setdefault(t, len(columns)) for t in terms))
+            images.append([columns.setdefault(t, len(columns)) for t in terms])
         assert len(_map_kernel(images)) == len(prims), d
 
 
@@ -607,14 +664,14 @@ def test_indecomposable_parts_of_primitives_are_the_kernel_of_the_root(space, ca
     # the root on the words.  verify_root_compatibility checks that the
     # parts lie in the kernel; that they fill it is measured, not proved
     def rank(masks):
-        return len(masks) - len(_map_kernel(masks))
+        return len(masks) - len(_map_kernel(map(_positions, masks)))
 
     for d in range(1, top + 1):
         words = admissible_words(space, d, cap)
         row = {mono_word(w): 1 << i for i, w in enumerate(words)}
         columns: dict = {}
         images = [
-            sum(1 << columns.setdefault(m, len(columns)) for m in root(frozenset({mono_word(w)})))
+            [columns.setdefault(m, len(columns)) for m in root(frozenset({mono_word(w)}))]
             for w in words
         ]
         kernel = _map_kernel(images)
@@ -646,12 +703,12 @@ def test_pure_power_left_legs_give_the_primitive_kernel(space, cap, top):
         columns: dict = {}
         rows = []
         for m in monomial_basis(space, d, cap):
-            row = 0
+            row = []
             for l, r in reduced_coproduct(frozenset({m})):
                 if l.degree <= d // 2 and len(l.factors) == 1:
                     e = l.factors[0][1]
                     if e & (e - 1) == 0:
-                        row |= 1 << columns.setdefault((l, r), len(columns))
+                        row.append(columns.setdefault((l, r), len(columns)))
             rows.append(row)
         assert _map_kernel(rows) == list(_primitive_kernel(space, d, cap)), d
 
@@ -700,9 +757,12 @@ def test_single_use_functions_keep_no_memo_table():
     # each is asked once per monomial or degree; only the root verifier
     # reuses coproducts, and it keeps its own table for the length of a
     # call.  In the sieve, images die with the call that builds them: the
-    # bases and the current degree's primitive kernel, read by
-    # primitive_subspace and spherical_candidates, are the only tables
+    # current degree's basis and primitive kernel, read by
+    # primitive_subspace and spherical_candidates, are the only tables.
+    # nishida_expansion's one Element-layer caller, _sq_down_mono, already
+    # keeps each (a, word)
     assert not hasattr(_coproduct_mono, "cache_info")
+    assert not hasattr(nishida_expansion, "cache_info")
     memoized = {
         name
         for name, obj in vars(qhk.sieve).items()
@@ -710,6 +770,7 @@ def test_single_use_functions_keep_no_memo_table():
     }
     assert memoized == {"monomial_basis", "_primitive_kernel"}
     assert _primitive_kernel.cache_info().maxsize == 1
+    assert monomial_basis.cache_info().maxsize == 1
 
 
 def test_run_verifier_dispatch():

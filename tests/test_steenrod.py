@@ -133,6 +133,20 @@ def test_sq_down_on_unit_and_generators():
     assert sq_down(2, el_gen(parse_gen("a5"))) == el_gen(a3)
 
 
+def test_sq_down_above_the_degree_is_zero_at_once():
+    # the target degree is negative: no Cartan sum over the index, no
+    # Nishida loop over half of it
+    import time
+
+    for x in (el_mul(el_gen(a1), el_gen(a2)), word_el((2,), a1)):
+        before = _sq_down_mono.cache_info().currsize
+        t0 = time.perf_counter()
+        assert sq_down(10**12, x) == EL_ZERO
+        dt = time.perf_counter() - t0
+        assert dt < 0.1, f"Sq^(10^12) on a degree-3 monomial took {dt:.2f}s"
+        assert _sq_down_mono.cache_info().currsize <= before + 1
+
+
 def test_sq_down_cartan():
     rng = random.Random(8)
     pool = [el_gen(a1), el_gen(a2), el_gen(a3), word_el((2,), a1), word_el((4, 2), a1),
