@@ -19,7 +19,17 @@ import sys
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .cache import load_or_compute
-from .exprs import ExprError, element_to_json, format_element, parse_element
+from .exprs import (
+    ExprError,
+    element_text,
+    element_to_json,
+    factor_to_json,
+    format_element,
+    format_word_power,
+    listing_terms,
+    monomial_text,
+    parse_element,
+)
 from .sieve import (
     annihilated_subspace,
     basis_dimension,
@@ -151,19 +161,58 @@ def _print_element(el, fmt: str) -> None:
         print(format_element(el))
 
 
-def _print_subspace(args, basis) -> None:
-    if args.format == "json":
-        payload = {
-            "space": space_name(args.space),
-            "degree": args.degree,
-            "max_length": args.max_length,
-            "dimension": len(basis),
-            "basis": [element_to_json(el) for el in basis],
-        }
-        print(_indented_json(payload))
-    else:
-        for el in basis:
-            print(format_element(el))
+# The indents of a subspace listing's JSON: an element sits at depth 2 of
+# the payload (in "basis"), a monomial at depth 4 (in "terms") and a factor
+# at depth 6 (in "factors").
+_ELEMENT_INDENT, _MONO_INDENT, _FACTOR_INDENT = ("\n" + " " * n for n in (4, 8, 12))
+
+
+def _json_list_dict(key: str, items: list[str], indent: str) -> str:
+    """_indented_json({key: values}, indent), where items are the values
+    already written at the indent of the list's entries."""
+    inner = indent + "  "
+    if not items:
+        return "{" + inner + _json_str(key) + ": []" + indent + "}"
+    entry = inner + "  "
+    body = entry + ("," + entry).join(items)
+    return "{" + inner + _json_str(key) + ": [" + body + inner + "]" + indent + "}"
+
+
+def _factor_fragment(w, e) -> str:
+    return _indented_json(factor_to_json(w, e), _FACTOR_INDENT)
+
+
+def _monomial_fragment(factors: list[str]) -> str:
+    return _json_list_dict("factors", factors, _MONO_INDENT)
+
+
+def _print_subspace(args, elements) -> None:
+    """Write a listing one element at a time; the bytes are those of
+    printing format_element of each element, or _indented_json of the whole
+    payload with element_to_json of each."""
+    write = sys.stdout.write
+    if args.format == "text":
+        for terms in listing_terms(elements, format_word_power, monomial_text):
+            write(element_text(terms) + "\n")
+        return
+    payload = {
+        "space": space_name(args.space),
+        "degree": args.degree,
+        "max_length": args.max_length,
+        "dimension": len(elements),
+        "basis": [],
+    }
+    text = _indented_json(payload)
+    if not elements:
+        write(text + "\n")
+        return
+    # the head ends in `"basis": []` and the close; keep its "[" open
+    write(text[: -len("]\n}")])
+    sep = _ELEMENT_INDENT
+    for terms in listing_terms(elements, _factor_fragment, _monomial_fragment):
+        write(sep + _json_list_dict("terms", terms, _ELEMENT_INDENT))
+        sep = "," + _ELEMENT_INDENT
+    write("\n  ]\n}\n")
 
 
 def _too_large(space, degree: int, max_len: int) -> bool:
@@ -207,7 +256,7 @@ def main(argv=None) -> int:
                     msg = f"error: cannot use cache directory {args.cache}: {err.strerror or err}"
                     print(msg, file=sys.stderr)
                     return 2
-            subspace = [frozenset({m}) for m in basis]
+            subspace = [(m,) for m in basis]
         else:
             fn = {
                 "annihilated": annihilated_subspace,

@@ -179,33 +179,66 @@ def format_word_power(w: AdmissibleGen, e: int) -> str:
     return f"{base}^{e}"
 
 
+def monomial_text(factors: list[str]) -> str:
+    """A monomial as format_element writes it, from its factors' texts."""
+    return "*".join(factors) or "1"
+
+
+def element_text(terms: list[str]) -> str:
+    """An element as format_element writes it, from its monomials' texts in
+    printing order."""
+    return " + ".join(terms) or "0"
+
+
 def format_element(el: Element) -> str:
-    if not el:
-        return "0"
-    parts = []
-    for m in sorted(el, key=_mono_key, reverse=True):
-        if not m.factors:
-            parts.append("1")
-        else:
-            parts.append("*".join(format_word_power(w, e) for w, e in m.factors))
-    return " + ".join(parts)
+    return element_text([
+        monomial_text([format_word_power(w, e) for w, e in m.factors])
+        for m in sorted(el, key=_mono_key, reverse=True)
+    ])
+
+
+def listing_terms(elements, render_factor, join_factors):
+    """For each element of a listing in turn, the fragments of its monomials
+    in printing order (by descending _mono_key, as format_element and
+    element_to_json write them).  An element is any collection of distinct
+    monomials.  The monomials of all the elements are sorted once and
+    ranked; each distinct factor (w, e) is rendered once, by
+    render_factor(w, e), and each monomial once, by join_factors of its
+    factors' fragments.  These tables live as long as the generator."""
+    monos = sorted(set().union(*elements), key=_mono_key, reverse=True)
+    rank = {m: i for i, m in enumerate(monos)}
+    rendered: dict = {}
+    fragments = []
+    for m in monos:
+        parts = []
+        for we in m.factors:
+            part = rendered.get(we)
+            if part is None:
+                part = rendered[we] = render_factor(*we)
+            parts.append(part)
+        fragments.append(join_factors(parts))
+    for el in elements:
+        yield [fragments[i] for i in sorted(map(rank.__getitem__, el))]
 
 
 # -- JSON ---------------------------------------------------------------------
 
+def factor_to_json(w: AdmissibleGen, e: int) -> dict:
+    """One factor w^e of a monomial, as element_to_json writes it."""
+    return {
+        "ops": list(w.ops),
+        "gen": {"space": space_name(w.gen.space), "index": w.gen.index},
+        "exp": e,
+    }
+
+
 def element_to_json(el: Element) -> dict:
-    terms = []
-    for m in sorted(el, key=_mono_key, reverse=True):
-        factors = [
-            {
-                "ops": list(w.ops),
-                "gen": {"space": space_name(w.gen.space), "index": w.gen.index},
-                "exp": e,
-            }
-            for w, e in m.factors
+    return {
+        "terms": [
+            {"factors": [factor_to_json(w, e) for w, e in m.factors]}
+            for m in sorted(el, key=_mono_key, reverse=True)
         ]
-        terms.append({"factors": factors})
-    return {"terms": terms}
+    }
 
 
 def _json_field(obj, key: str, kind: type):

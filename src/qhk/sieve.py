@@ -261,11 +261,13 @@ def _coproduct_packing(space: Space, degree: int, max_len: int) -> _DegreePackin
 
 
 def _bits(mask: int):
-    """The positions of the set bits of a mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """The positions of the set bits of a mask, ascending: a scan of its
+    binary digits, lowest first, in time linear in the mask's width."""
+    digits = bin(mask)[:1:-1]
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
 
 
 def _combine(rows, mask: int):

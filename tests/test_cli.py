@@ -8,9 +8,16 @@ import sys
 import pytest
 
 from qhk.cache import cache_path
-from qhk.cli import MAX_BASIS_DIM, _indented_json, _parser, main
-from qhk.sieve import basis_dimension
-from qhk.spaces import RealProj
+from qhk.cli import MAX_BASIS_DIM, _indented_json, _json_list_dict, _parser, main
+from qhk.exprs import element_to_json, format_element
+from qhk.sieve import (
+    annihilated_subspace,
+    basis_dimension,
+    monomial_basis,
+    primitive_subspace,
+    spherical_candidates,
+)
+from qhk.spaces import RealProj, parse_space
 
 
 def run(capsys, *argv):
@@ -207,6 +214,50 @@ def test_subspace_listings_are_byte_stable(capsys, degree):
         assert code == 0
         text += out
     assert hashlib.sha256(text.encode()).hexdigest() == LISTING_DIGESTS[degree]
+
+
+LISTED = {
+    "basis": lambda *bounds: [frozenset({m}) for m in monomial_basis(*bounds)],
+    "annihilated": annihilated_subspace,
+    "primitives": primitive_subspace,
+    "sieve": spherical_candidates,
+}
+
+
+@pytest.mark.parametrize("space", ["P", "S1", "S2", "SCP", "P^s1", "SCP^s1"])
+def test_streamed_listings_match_the_whole_payload(capsys, space):
+    # a listing is written one element at a time; its bytes are those of
+    # the whole payload written at once, and of format_element line by line
+    dims = set()
+    for command, subspace in LISTED.items():
+        for cap in (2, 3):
+            for degree in range(1, 11):
+                elements = subspace(parse_space(space), degree, cap)
+                dims.add(len(elements))
+                argv = (command, "--space", space, "--degree", str(degree), "--max-length", str(cap))
+                payload = {
+                    "space": space,
+                    "degree": degree,
+                    "max_length": cap,
+                    "dimension": len(elements),
+                    "basis": [element_to_json(el) for el in elements],
+                }
+                assert run(capsys, *argv, "--format", "json") == (
+                    0, json.dumps(payload, indent=2) + "\n", ""
+                ), argv
+                lines = "".join(format_element(el) + "\n" for el in elements)
+                assert run(capsys, *argv) == (0, lines, ""), argv
+    assert 0 in dims
+
+
+def test_json_list_dict_matches_the_writer():
+    # listings hold no empty element or monomial, but the helper writes
+    # empty lists as the writer does
+    values = [[], [{"a": 1}], [{"a": 1}, {"b": [2, 3]}]]
+    for indent in ("\n", "\n    "):
+        for items in values:
+            rendered = [_indented_json(v, indent + "    ") for v in items]
+            assert _json_list_dict("terms", rendered, indent) == _indented_json({"terms": items}, indent)
 
 
 def test_indented_json_writer_matches_json_dumps(capsys):

@@ -1,12 +1,17 @@
 """Kernel machinery and the desk-scale verifiers."""
 
+import contextlib
 import hashlib
+import inspect
+import io
 import itertools
 import time
 
 import pytest
 
 import qhk.algebra
+import qhk.cli
+import qhk.exprs
 import qhk.sieve
 from qhk.algebra import (
     EL_ONE,
@@ -27,10 +32,11 @@ from qhk.algebra import (
     root,
 )
 from qhk.cache import basis_to_bytes
-from qhk.exprs import format_element, parse_element
+from qhk.exprs import format_element, listing_terms, parse_element
 from qhk.sieve import (
     VerifyReport,
     _admissible_sequences,
+    _bits,
     annihilated_subspace,
     check_curtis_bound,
     _coproduct_packing,
@@ -194,6 +200,22 @@ def test_map_kernel_matches_the_dense_eliminator():
             assert _map_kernel(rows) == _dense_kernel(_first_seen_masks(rows)), (
                 space, degree, packing.__name__,
             )
+
+
+def test_bits_lists_the_set_positions_in_ascending_order():
+    import random
+
+    def reference(m):
+        return [i for i in range(m.bit_length()) if m >> i & 1]
+
+    rng = random.Random(7)
+    masks = [0, 1, 2, 3, 0b1011]
+    masks += [1 << i for i in (5, 63, 64, 1000, 49_999)]
+    # wide and sparse, as a kernel vector over a large basis
+    masks += [sum(1 << i for i in rng.sample(range(50_000), 100)) for _ in range(3)]
+    masks += [rng.getrandbits(300) for _ in range(10)]
+    for m in masks:
+        assert list(_bits(m)) == reference(m)
 
 
 # -- bases ---------------------------------------------------------------------
@@ -771,6 +793,38 @@ def test_single_use_functions_keep_no_memo_table():
     assert memoized == {"monomial_basis", "_primitive_kernel"}
     assert _primitive_kernel.cache_info().maxsize == 1
     assert monomial_basis.cache_info().maxsize == 1
+    # a listing's rank and fragment tables are locals of listing_terms and
+    # live for one listing: printing keeps no table of its own (the CLI's
+    # argument parser is one object), and no module-level container of
+    # exprs or cli grows from one listing to the next
+    memoized = {
+        name
+        for mod in (qhk.exprs, qhk.cli)
+        for name, obj in vars(mod).items()
+        if getattr(obj, "__module__", None) == mod.__name__ and hasattr(obj, "cache_info")
+    }
+    assert memoized == {"_parser"}
+    assert inspect.isgeneratorfunction(listing_terms)
+
+    def containers():
+        return {
+            (mod.__name__, name): len(obj)
+            for mod in (qhk.exprs, qhk.cli)
+            for name, obj in vars(mod).items()
+            if isinstance(obj, (dict, list, set))
+        }
+
+    def listings(degree):
+        for command in ("basis", "annihilated", "primitives", "sieve"):
+            for fmt in ("text", "json"):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    qhk.cli.main([command, "--space", "P", "--degree", str(degree), "--format", fmt])
+
+    listings(4)
+    before = containers()
+    for degree in (5, 8, 11):
+        listings(degree)
+    assert containers() == before
 
 
 def test_run_verifier_dispatch():
