@@ -1,7 +1,9 @@
 """Command line front end.
 
 Exit status: 0 for success (and for a verifier that passes), 1 for a
-verifier that found failures, 2 for usage or input errors.  A command
+verifier that found failures, 2 for usage or input errors, 141 (128 +
+SIGPIPE) when the reader closes stdout before the output ends, as
+`qhk basis ... | head -1` does; that exit writes nothing to stderr.  A command
 that would enumerate a monomial basis of more than MAX_BASIS_DIM elements
 (`basis`, `annihilated`, `primitives` and `sieve` at --degree, `verify` of
 theorems 2, 3 and root at --max-degree) is refused with exit status 2
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii as _json_str
 
@@ -229,7 +232,25 @@ def _too_large(space, degree: int, max_len: int) -> bool:
     return True
 
 
+# 128 + SIGPIPE, the status of a Unix tool whose reader went away
+EXIT_CLOSED_PIPE = 141
+
+
 def main(argv=None) -> int:
+    """Run one command and return its exit status.  If the reader closes
+    stdout early, the command stops quietly with EXIT_CLOSED_PIPE: stdout
+    then points at os.devnull, so the flush at interpreter exit does not
+    raise again."""
+    try:
+        status = _command(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
+    return status
+
+
+def _command(argv) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
 

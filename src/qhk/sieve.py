@@ -19,6 +19,7 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache, reduce
+from itertools import islice
 from operator import or_, xor
 
 from .algebra import (
@@ -48,16 +49,20 @@ from .words import AdmissibleGen, admissible_words, excess, word_sort_key
 
 # -- GF(2) kernels ------------------------------------------------------------
 
-def _map_kernel(rows) -> list[int]:
+def _map_kernel(rows):
     """Kernel of e_i -> rows[i], as domain bitmasks, by elimination with
     trackers.  A row is the set of its terms, distinct int keys, and each
     step pivots on the largest key left.  Deterministic in the input order,
     and independent of which keys name the target columns and how they
     compare: row i yields a kernel vector exactly when its image lies in the
     span of the earlier rows, and its tracker is the unique way of writing
-    it over the earlier independent rows."""
+    it over the earlier independent rows.
+
+    A generator: it yields each tracker as soon as its row turns out
+    dependent.  The vector of row i is decided by rows 0..i alone, so it is
+    final when yielded, and a caller that needs only the first k vectors
+    stops the rows at the k-th dependent one."""
     lead: dict[int, tuple[set[int], int]] = {}
-    out = []
     for i, row in enumerate(rows):
         img = set(row)
         trk = 1 << i
@@ -70,38 +75,57 @@ def _map_kernel(rows) -> list[int]:
             img ^= lead_img
             trk ^= lead_trk
         else:
-            out.append(trk)
-    return out
+            yield trk
 
 
 # -- monomial bases and subspaces ----------------------------------------------
 
+def _factor_sort_key(factor: tuple[AdmissibleGen, int]) -> tuple:
+    return factor[0].sort_key
+
+
+def _monomials(space: Space, degree: int, max_len: int):
+    """All products of word powers of exactly this degree (word length
+    capped), one at a time, in a fixed enumeration order: MONO_ONE alone
+    at degree 0, nothing at a negative degree.
+
+    Words ascend in degree.  A monomial is a choice of word powers w^e at
+    ascending word positions; after the powers chosen so far, the next
+    factor runs over the words that still fit, from the last one down, and
+    each word's exponent ascends.  The walk keeps its pending branches on
+    an explicit stack, and pushes no branch that no word can finish."""
+    if degree < 0:
+        return
+    words = [w for d in range(1, degree + 1) for w in admissible_words(space, d, max_len)]
+    # fit[r]: how many words have degree <= r, so words[:fit[r]] fit in r
+    fit = [0] * (degree + 1)
+    for w in words:
+        for r in range(w.degree, degree + 1):
+            fit[r] += 1
+    # a branch is (next word position, degree left, factors so far); words
+    # are pushed ascending and exponents descending, so they pop in the
+    # enumeration order
+    stack = [(0, degree, ())]
+    pop, push = stack.pop, stack.append
+    while stack:
+        start, left, acc = pop()
+        if not left:
+            yield Monomial(tuple(sorted(acc, key=_factor_sort_key)) if len(acc) > 1 else acc)
+            continue
+        for j in range(start, fit[left]):
+            w = words[j]
+            d = w.degree
+            for e in range(left // d, 0, -1):
+                rest = left - e * d
+                if not rest or fit[rest] > j + 1:
+                    push((j + 1, rest, acc + ((w, e),)))
+
+
 @lru_cache(maxsize=1)
 def monomial_basis(space: Space, degree: int, max_len: int) -> tuple[Monomial, ...]:
-    """All products of word powers of exactly this degree (word length
-    capped), in a fixed enumeration order.  Words ascend in degree, so a
-    branch ends at the first word that does not fit."""
-    if degree < 0:
-        return ()
-    words = [w for d in range(1, degree + 1) for w in admissible_words(space, d, max_len)]
-    out: list[Monomial] = []
-
-    def rec(idx: int, remaining: int, acc: list) -> None:
-        if remaining == 0:
-            pairs = sorted(acc, key=lambda we: we[0].sort_key)
-            out.append(Monomial(tuple(pairs)))
-            return
-        if idx == len(words) or words[idx].degree > remaining:
-            return
-        rec(idx + 1, remaining, acc)
-        w = words[idx]
-        e = 1
-        while w.degree * e <= remaining:
-            rec(idx + 1, remaining - w.degree * e, acc + [(w, e)])
-            e += 1
-
-    rec(0, degree, [])
-    return tuple(out)
+    """The monomials of `_monomials`, as a tuple kept for one degree at a
+    time."""
+    return tuple(_monomials(space, degree, max_len))
 
 
 def basis_dimension(space: Space, degree: int, max_len: int) -> int:
@@ -283,7 +307,24 @@ def annihilated_subspace(space: Space, degree: int, max_len: int) -> tuple[Eleme
     """Basis of the classes killed by every Sq^{2^k}, within the capped span."""
     basis = monomial_basis(space, degree, max_len)
     packing = _steenrod_packing(space, degree, max_len)
-    return _elements(basis, _map_kernel(map(packing.terms, basis)))
+    return _elements(basis, list(_map_kernel(map(packing.terms, basis))))
+
+
+def _annihilated_prefix(space: Space, degree: int, max_len: int, count: int) -> tuple[Element, ...]:
+    """The first `count` vectors of annihilated_subspace(space, degree,
+    max_len), or all of them if there are fewer.  Each kernel vector is
+    final when _map_kernel yields it, so the basis walk and the Steenrod
+    images stop at the row of the last vector taken."""
+    basis: list[Monomial] = []
+    packing = _steenrod_packing(space, degree, max_len)
+
+    def rows():
+        for m in _monomials(space, degree, max_len):
+            basis.append(m)
+            yield packing.terms(m)
+
+    masks = list(islice(_map_kernel(rows()), count))
+    return _elements(basis, masks)
 
 
 @lru_cache(maxsize=1)
@@ -312,7 +353,7 @@ def spherical_candidates(space: Space, degree: int, max_len: int) -> tuple[Eleme
     prims = _primitive_kernel(space, degree, max_len)
     packing = _steenrod_packing(space, degree, max_len)
     images = {i: set(packing.terms(basis[i])) for i in _bits(reduce(or_, prims, 0))}
-    trackers = _map_kernel([_combine(images, p) for p in prims])
+    trackers = list(_map_kernel([_combine(images, p) for p in prims]))
     return _elements(basis, [_combine(prims, t) for t in trackers])
 
 
@@ -396,7 +437,11 @@ def verify_suspension_factorization(
     part, a leading term that desuspends to an annihilated class after
     dropping a prefix of its operations.  The claim is about the leading
     term of each member, which is not linear in the member, so the basis
-    alone does not settle it; sums of basis vectors are sampled too."""
+    alone does not settle it; sums of basis vectors are sampled too.
+
+    The samples are those of sample_members on the whole annihilated
+    basis, but only its first max_vectors vectors are computed: the walk
+    stops at the max_vectors-th dependent row of each degree."""
     t0 = time.perf_counter()
     report = VerifyReport(
         "2",
@@ -405,7 +450,8 @@ def verify_suspension_factorization(
         0,
     )
     for degree in range(1, max_degree + 1):
-        for xi in sample_members(annihilated_subspace(space, degree, max_len), max_vectors):
+        prefix = _annihilated_prefix(space, degree, max_len, max_vectors)
+        for xi in sample_members(prefix, max_vectors):
             report.checked += 1
             if not suspend(xi):
                 report.excluded.append(f"suspension image zero: {format_element(xi)}")

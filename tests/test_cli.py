@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -184,6 +185,42 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "a1^2\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["basis", "--space", "P", "--degree", "14"], ["normalize", "Q^6 Q^2 a1 + a1^5"]],
+    ids=("basis", "normalize"),
+)
+def test_a_closed_pipe_ends_the_command_quietly(argv):
+    # the reader has gone before the first write: exit 141 (128 + SIGPIPE),
+    # apart from 1 (FAIL) and 2 (rejected input), and nothing on stderr
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qhk.cli", *argv], stdout=w, stderr=subprocess.PIPE
+        )
+    finally:
+        os.close(w)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def test_a_reader_that_stops_after_one_line():
+    # `qhk basis --space P --degree 20 | head -1`: the 208 kB listing
+    # overfills the pipe, so the writer is still writing when the reader
+    # closes
+    with subprocess.Popen(
+        [sys.executable, "-m", "qhk.cli", "basis", "--space", "P", "--degree", "20"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        status = proc.wait(timeout=120)
+        err = proc.stderr.read()
+    assert first == b"Q^12 Q^7 a1\n"
+    assert (status, err) == (141, b"")
 
 
 # SHA-256 of the `annihilated`, `primitives` and `sieve` JSON listings over P

@@ -16,6 +16,8 @@ import qhk.sieve
 from qhk.algebra import (
     EL_ONE,
     EL_ZERO,
+    MONO_ONE,
+    Monomial,
     _coproduct_mono,
     _coproduct_word,
     _tensor_pow,
@@ -30,19 +32,23 @@ from qhk.algebra import (
     mono_word,
     reduced_coproduct,
     root,
+    suspend,
 )
 from qhk.cache import basis_to_bytes
 from qhk.exprs import format_element, listing_terms, parse_element
 from qhk.sieve import (
     VerifyReport,
     _admissible_sequences,
+    _annihilated_prefix,
     _bits,
     annihilated_subspace,
     check_curtis_bound,
     _coproduct_packing,
     _map_kernel,
+    _monomials,
     _primitive_kernel,
     _steenrod_packing,
+    _witness_exists,
     basis_dimension,
     monomial_basis,
     primitive_subspace,
@@ -54,9 +60,9 @@ from qhk.sieve import (
     verify_spherical_form,
     verify_suspension_factorization,
 )
-from qhk.spaces import Generator, RealProj, SigmaCPplus, Sphere
+from qhk.spaces import Generator, RealProj, SigmaCPplus, Sphere, space_name
 from qhk.steenrod import element_is_A_annihilated, nishida_expansion, sq_down
-from qhk.words import AdmissibleGen, admissible_words, is_admissible_ops
+from qhk.words import AdmissibleGen, admissible_words, is_admissible_ops, word_sort_key
 
 P = RealProj()
 S1 = Sphere(1)
@@ -108,7 +114,7 @@ def test_map_kernel_example():
 
 
 def test_map_kernel_extremes():
-    assert _map_kernel(_columns([[1, 0], [0, 1]])) == []
+    assert list(_map_kernel(_columns([[1, 0], [0, 1]]))) == []
     assert _vectors(_map_kernel(_columns([[0, 0, 0]])), 3) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
 
 
@@ -128,7 +134,7 @@ def test_map_kernel_against_brute_force():
     for _ in range(40):
         n = rng.randint(1, 5)
         rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(rng.randint(1, 4))]
-        masks = _map_kernel(_columns(rows))
+        masks = list(_map_kernel(_columns(rows)))
         basis = _vectors(masks, n)
         # every basis vector lies in the kernel
         for v in basis:
@@ -162,17 +168,17 @@ def test_map_kernel_ignores_column_numbering():
     cases.append(_terms_rows(_steenrod_packing(S1, 12, 3), monomial_basis(S1, 12, 3)))
     for rows in cases:
         keys = sorted({x for row in rows for x in row})
-        want = _map_kernel(rows)
+        want = list(_map_kernel(rows))
         for _ in range(5):
             label = dict(zip(keys, rng.sample(range(3 * len(keys) + 1), len(keys))))
-            assert _map_kernel([[label[x] for x in row] for row in rows]) == want
+            assert list(_map_kernel([[label[x] for x in row] for row in rows])) == want
 
 
 def test_map_kernel_small():
-    assert _map_kernel([[0], [0]]) == [0b11]
-    assert _map_kernel([[]]) == [1]
-    assert _map_kernel([[0], [1], [0, 1]]) == [0b111]
-    assert _map_kernel([[0, 2], [0, 1]]) == []
+    assert list(_map_kernel([[0], [0]])) == [0b11]
+    assert list(_map_kernel([[]])) == [1]
+    assert list(_map_kernel([[0], [1], [0, 1]])) == [0b111]
+    assert list(_map_kernel([[0, 2], [0, 1]])) == []
 
 
 def _first_seen_masks(rows):
@@ -191,13 +197,13 @@ def test_map_kernel_matches_the_dense_eliminator():
     for nrows, ncols in ((1, 1), (6, 3), (12, 12), (30, 20), (40, 64), (64, 40)):
         for _ in range(10):
             masks = [rng.getrandbits(ncols) for _ in range(nrows)]
-            assert _map_kernel(map(_positions, masks)) == _dense_kernel(masks)
+            assert list(_map_kernel(map(_positions, masks))) == _dense_kernel(masks)
     cases = [(P, 2, degree) for degree in range(9, 14)] + [(S1, 3, 12)]
     for space, cap, degree in cases:
         basis = monomial_basis(space, degree, cap)
         for packing in (_steenrod_packing, _coproduct_packing):
             rows = _terms_rows(packing(space, degree, cap), basis)
-            assert _map_kernel(rows) == _dense_kernel(_first_seen_masks(rows)), (
+            assert list(_map_kernel(rows)) == _dense_kernel(_first_seen_masks(rows)), (
                 space, degree, packing.__name__,
             )
 
@@ -277,6 +283,57 @@ def test_monomial_basis_small_counts():
     assert len(monomial_basis(S1, 1, 3)) == 1
     assert len(monomial_basis(S1, 2, 3)) == 1
     assert len(monomial_basis(S1, 3, 3)) == 2
+
+
+def _recursive_monomials(space, degree, max_len):
+    """The enumeration order as a plain recursion over the words, ascending
+    in degree: skip the word, or take it to the power 1, 2, ..."""
+    if degree < 0:
+        return ()
+    words = [w for d in range(1, degree + 1) for w in admissible_words(space, d, max_len)]
+    out = []
+
+    def rec(idx, remaining, acc):
+        if remaining == 0:
+            out.append(Monomial(tuple(sorted(acc, key=lambda we: we[0].sort_key))))
+            return
+        if idx == len(words) or words[idx].degree > remaining:
+            return
+        rec(idx + 1, remaining, acc)
+        w = words[idx]
+        for e in range(1, remaining // w.degree + 1):
+            rec(idx + 1, remaining - w.degree * e, acc + [(w, e)])
+
+    rec(0, degree, [])
+    return tuple(out)
+
+
+@pytest.mark.parametrize(
+    "space", (P, S1, SigmaCPplus(), RealProj(shift=1)), ids=("P", "S1", "SCP", "P^s1")
+)
+@pytest.mark.parametrize("cap", (1, 2, 3))
+def test_the_lazy_walk_and_the_early_stop(space, cap):
+    assert tuple(_monomials(space, -1, cap)) == ()
+    assert tuple(_monomials(space, 0, cap)) == (MONO_ONE,)
+    for degree in range(-1, 15):
+        basis = monomial_basis(space, degree, cap)
+        assert tuple(_monomials(space, degree, cap)) == basis, degree
+        assert basis == _recursive_monomials(space, degree, cap), degree
+        # each kernel vector is yielded before the row after its own is read
+        pulled = []
+
+        def rows():
+            packing = _steenrod_packing(space, degree, cap)
+            for i, m in enumerate(basis):
+                pulled.append(i)
+                yield packing.terms(m)
+
+        for mask in _map_kernel(rows()):
+            assert len(pulled) == mask.bit_length(), degree
+        # so theorem 2's prefix is the head of the whole annihilated basis
+        whole = annihilated_subspace(space, degree, cap)
+        for k in (1, 5, 64, len(whole), len(whole) + 1):
+            assert _annihilated_prefix(space, degree, cap, k) == whole[:k], (degree, k)
 
 
 # -- packed images against the Element layer -----------------------------------
@@ -479,6 +536,41 @@ def test_sample_members_order_and_cap():
     assert all(v for v in got)
 
 
+def _whole_subspace_report(space, top, cap, max_vectors):
+    """Theorem 2's report as the verifier made it before it stopped early:
+    the members are sample_members of each degree's whole annihilated
+    subspace, and the millis are 0."""
+    checked, failures, excluded = 0, [], []
+    for degree in range(1, top + 1):
+        for xi in sample_members(annihilated_subspace(space, degree, cap), max_vectors):
+            checked += 1
+            if not suspend(xi):
+                excluded.append(f"suspension image zero: {format_element(xi)}")
+                continue
+            strata = {}
+            for m in indecomposable_part(xi):
+                w = m.factors[0][0]
+                strata.setdefault(len(w.ops), []).append(w)
+            for length, ws in sorted(strata.items()):
+                leading = max(ws, key=word_sort_key)
+                if not _witness_exists(leading):
+                    failures.append(
+                        f"no suspension witness for the length-{length} leading term "
+                        f"{format_element(frozenset({mono_word(leading)}))} of {format_element(xi)}"
+                    )
+    bounds = {"max_degree": top, "max_length": cap, "max_vectors": max_vectors}
+    return VerifyReport("2", space_name(space), bounds, checked, failures, excluded).to_json()
+
+
+@pytest.mark.parametrize("space, cap, top", [(P, 2, 16), (S1, 3, 16)], ids=("P", "S1"))
+@pytest.mark.parametrize("max_vectors", (1, 64, 300))
+def test_theorem_2_samples_as_the_whole_subspace_did(space, cap, top, max_vectors):
+    # every field but the time: checked, and the excluded and failure strings
+    report = verify_suspension_factorization(space, top, cap, max_vectors)
+    report.millis = 0
+    assert report.to_json() == _whole_subspace_report(space, top, cap, max_vectors)
+
+
 # -- verifier smoke runs --------------------------------------------------------
 
 def test_report_shape():
@@ -597,7 +689,7 @@ def _rank(elements) -> int:
     """The dimension of the span of these elements."""
     columns: dict = {}
     rows = [[columns.setdefault(m, len(columns)) for m in el] for el in elements]
-    return len(rows) - len(_map_kernel(rows))
+    return len(rows) - len(list(_map_kernel(rows)))
 
 
 @pytest.mark.parametrize(
@@ -632,7 +724,7 @@ def test_milnor_moore_squares_and_roots(space, cap, top):
         for m in monomial_basis(space, d // 2, cap):
             terms = reduced_coproduct(el_square(frozenset({m})))
             images.append([columns.setdefault(t, len(columns)) for t in terms])
-        assert len(_map_kernel(images)) == len(prims), d
+        assert len(list(_map_kernel(images))) == len(prims), d
 
 
 @pytest.mark.parametrize(
@@ -686,7 +778,7 @@ def test_indecomposable_parts_of_primitives_are_the_kernel_of_the_root(space, ca
     # the root on the words.  verify_root_compatibility checks that the
     # parts lie in the kernel; that they fill it is measured, not proved
     def rank(masks):
-        return len(masks) - len(_map_kernel(map(_positions, masks)))
+        return len(masks) - len(list(_map_kernel(map(_positions, masks))))
 
     for d in range(1, top + 1):
         words = admissible_words(space, d, cap)
@@ -696,7 +788,7 @@ def test_indecomposable_parts_of_primitives_are_the_kernel_of_the_root(space, ca
             [columns.setdefault(m, len(columns)) for m in root(frozenset({mono_word(w)}))]
             for w in words
         ]
-        kernel = _map_kernel(images)
+        kernel = list(_map_kernel(images))
         parts = [
             sum(row[m] for m in indecomposable_part(p))
             for p in primitive_subspace(space, d, cap)
@@ -732,7 +824,7 @@ def test_pure_power_left_legs_give_the_primitive_kernel(space, cap, top):
                     if e & (e - 1) == 0:
                         row.append(columns.setdefault((l, r), len(columns)))
             rows.append(row)
-        assert _map_kernel(rows) == list(_primitive_kernel(space, d, cap)), d
+        assert list(_map_kernel(rows)) == list(_primitive_kernel(space, d, cap)), d
 
 
 def test_newton_primitives_lie_in_the_primitive_kernel():
