@@ -19,6 +19,7 @@ import functools
 import json
 import os
 import sys
+from array import array
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .cache import load_or_compute
@@ -34,12 +35,13 @@ from .exprs import (
     parse_element,
 )
 from .sieve import (
-    annihilated_subspace,
+    annihilated_kernel,
     basis_dimension,
+    bits,
+    candidate_kernel,
     monomial_basis,
-    primitive_subspace,
+    primitive_kernel,
     run_verifier,
-    spherical_candidates,
 )
 from .spaces import parse_space, space_name
 from .steenrod import sq_down
@@ -189,30 +191,30 @@ def _monomial_fragment(factors: list[str]) -> str:
     return _json_list_dict("factors", factors, _MONO_INDENT)
 
 
-def _print_subspace(args, elements) -> None:
-    """Write a listing one element at a time; the bytes are those of
-    printing format_element of each element, or _indented_json of the whole
-    payload with element_to_json of each."""
+def _print_subspace(args, basis, rows) -> None:
+    """Write a listing one row of basis indices at a time; the bytes are those
+    of printing format_element of each element, or _indented_json of the
+    whole payload with element_to_json of each."""
     write = sys.stdout.write
     if args.format == "text":
-        for terms in listing_terms(elements, format_word_power, monomial_text):
+        for terms in listing_terms(basis, rows, format_word_power, monomial_text):
             write(element_text(terms) + "\n")
         return
     payload = {
         "space": space_name(args.space),
         "degree": args.degree,
         "max_length": args.max_length,
-        "dimension": len(elements),
+        "dimension": len(rows),
         "basis": [],
     }
     text = _indented_json(payload)
-    if not elements:
+    if not rows:
         write(text + "\n")
         return
     # the head ends in `"basis": []` and the close; keep its "[" open
     write(text[: -len("]\n}")])
     sep = _ELEMENT_INDENT
-    for terms in listing_terms(elements, _factor_fragment, _monomial_fragment):
+    for terms in listing_terms(basis, rows, _factor_fragment, _monomial_fragment):
         write(sep + _json_list_dict("terms", terms, _ELEMENT_INDENT))
         sep = "," + _ELEMENT_INDENT
     write("\n  ]\n}\n")
@@ -277,15 +279,18 @@ def _command(argv) -> int:
                     msg = f"error: cannot use cache directory {args.cache}: {err.strerror or err}"
                     print(msg, file=sys.stderr)
                     return 2
-            subspace = [(m,) for m in basis]
+            # one index per row: n one-bit masks of width n would be quadratic
+            rows = [(i,) for i in range(len(basis))]
         else:
-            fn = {
-                "annihilated": annihilated_subspace,
-                "primitives": primitive_subspace,
-                "sieve": spherical_candidates,
+            basis = monomial_basis(*bounds)
+            kernel = {
+                "annihilated": annihilated_kernel,
+                "primitives": primitive_kernel,
+                "sieve": candidate_kernel,
             }[args.command]
-            subspace = fn(*bounds)
-        _print_subspace(args, subspace)
+            # an index is one machine word; a list would add an int object for each
+            rows = [array("L", bits(mask)) for mask in kernel(*bounds)]
+        _print_subspace(args, basis, rows)
         return 0
 
     if args.command == "verify":

@@ -197,28 +197,28 @@ def format_element(el: Element) -> str:
     ])
 
 
-def listing_terms(elements, render_factor, join_factors):
-    """For each element of a listing in turn, the fragments of its monomials
-    in printing order (by descending _mono_key, as format_element and
-    element_to_json write them).  An element is any collection of distinct
-    monomials.  The monomials of all the elements are sorted once and
-    ranked; each distinct factor (w, e) is rendered once, by
-    render_factor(w, e), and each monomial once, by join_factors of its
-    factors' fragments.  These tables live as long as the generator."""
-    monos = sorted(set().union(*elements), key=_mono_key, reverse=True)
-    rank = {m: i for i, m in enumerate(monos)}
+def listing_terms(basis, rows, render_factor, join_factors):
+    """For each row of a listing in turn, the fragments of its monomials in
+    printing order (by descending _mono_key, as format_element and
+    element_to_json write them).  A row is an element, as the ascending
+    indices of its monomials in the basis.  The indices the rows use are
+    ranked once; each distinct factor (w, e) is rendered once, by
+    render_factor(w, e), and each ranked monomial once, by join_factors of
+    its factors' fragments.  These tables live as long as the generator."""
+    used = sorted(set().union(*rows), key=lambda i: _mono_key(basis[i]), reverse=True)
+    rank = {i: r for r, i in enumerate(used)}
     rendered: dict = {}
     fragments = []
-    for m in monos:
+    for i in used:
         parts = []
-        for we in m.factors:
+        for we in basis[i].factors:
             part = rendered.get(we)
             if part is None:
                 part = rendered[we] = render_factor(*we)
             parts.append(part)
         fragments.append(join_factors(parts))
-    for el in elements:
-        yield [fragments[i] for i in sorted(map(rank.__getitem__, el))]
+    for row in rows:
+        yield [fragments[r] for r in sorted(map(rank.__getitem__, row))]
 
 
 # -- JSON ---------------------------------------------------------------------

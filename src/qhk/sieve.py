@@ -29,7 +29,6 @@ from .algebra import (
     _tensor_mul,  # unused here; bench/layers.py still times it as a boundary
     apply_q,
     coproduct,
-    decomposable_part,
     el_mul,
     el_square,
     indecomposable_part,
@@ -284,7 +283,7 @@ def _coproduct_packing(space: Space, degree: int, max_len: int) -> _DegreePackin
     return _DegreePacking(space, degree, max_len, word_terms, top, range(1, top + 1))
 
 
-def _bits(mask: int):
+def bits(mask: int):
     """The positions of the set bits of a mask, ascending: a scan of its
     binary digits, lowest first, in time linear in the mask's width."""
     digits = bin(mask)[:1:-1]
@@ -296,18 +295,22 @@ def _bits(mask: int):
 
 def _combine(rows, mask: int):
     """The sum of the rows a nonzero mask selects: sets of terms, or masks."""
-    return reduce(xor, (rows[i] for i in _bits(mask)))
+    return reduce(xor, (rows[i] for i in bits(mask)))
 
 
 def _elements(basis: tuple[Monomial, ...], masks) -> tuple[Element, ...]:
-    return tuple(frozenset(basis[i] for i in _bits(mask)) for mask in masks)
+    return tuple(frozenset(basis[i] for i in bits(mask)) for mask in masks)
+
+
+def annihilated_kernel(space: Space, degree: int, max_len: int) -> tuple[int, ...]:
+    """annihilated_subspace as masks over the basis monomials."""
+    basis = monomial_basis(space, degree, max_len)
+    return tuple(_map_kernel(map(_steenrod_packing(space, degree, max_len).terms, basis)))
 
 
 def annihilated_subspace(space: Space, degree: int, max_len: int) -> tuple[Element, ...]:
     """Basis of the classes killed by every Sq^{2^k}, within the capped span."""
-    basis = monomial_basis(space, degree, max_len)
-    packing = _steenrod_packing(space, degree, max_len)
-    return _elements(basis, list(_map_kernel(map(packing.terms, basis))))
+    return _elements(monomial_basis(space, degree, max_len), annihilated_kernel(space, degree, max_len))
 
 
 def _annihilated_prefix(space: Space, degree: int, max_len: int, count: int) -> tuple[Element, ...]:
@@ -335,12 +338,17 @@ def _primitive_kernel(space: Space, degree: int, max_len: int) -> tuple[int, ...
     return tuple(_map_kernel(map(_coproduct_packing(space, degree, max_len).terms, basis)))
 
 
+def primitive_kernel(space: Space, degree: int, max_len: int) -> tuple[int, ...]:
+    """_primitive_kernel, which the primitive and the sieve listings of one
+    degree share."""
+    return _primitive_kernel(space, degree, max_len)
+
+
 def primitive_subspace(space: Space, degree: int, max_len: int) -> tuple[Element, ...]:
-    basis = monomial_basis(space, degree, max_len)
-    return _elements(basis, _primitive_kernel(space, degree, max_len))
+    return _elements(monomial_basis(space, degree, max_len), _primitive_kernel(space, degree, max_len))
 
 
-def spherical_candidates(space: Space, degree: int, max_len: int) -> tuple[Element, ...]:
+def candidate_kernel(space: Space, degree: int, max_len: int) -> tuple[int, ...]:
     """Classes that are both A-annihilated and primitive: the survivors every
     spherical class must be among, and the kernel of the Steenrod map on the
     primitives.  For each dependent row i, ascending, _map_kernel gives the
@@ -352,9 +360,14 @@ def spherical_candidates(space: Space, degree: int, max_len: int) -> tuple[Eleme
     basis = monomial_basis(space, degree, max_len)
     prims = _primitive_kernel(space, degree, max_len)
     packing = _steenrod_packing(space, degree, max_len)
-    images = {i: set(packing.terms(basis[i])) for i in _bits(reduce(or_, prims, 0))}
+    images = {i: set(packing.terms(basis[i])) for i in bits(reduce(or_, prims, 0))}
     trackers = list(_map_kernel([_combine(images, p) for p in prims]))
-    return _elements(basis, [_combine(prims, t) for t in trackers])
+    return tuple(_combine(prims, t) for t in trackers)
+
+
+def spherical_candidates(space: Space, degree: int, max_len: int) -> tuple[Element, ...]:
+    """Basis of the classes that are both A-annihilated and primitive."""
+    return _elements(monomial_basis(space, degree, max_len), candidate_kernel(space, degree, max_len))
 
 
 def sample_members(basis, max_vectors: int) -> list[Element]:
@@ -473,12 +486,6 @@ def verify_suspension_factorization(
 
 # -- theorem 3: the shape of spherical candidates --------------------------------
 
-def _indecomposables_all_odd(xi: Element) -> bool:
-    return all(
-        i % 2 == 1 for m in indecomposable_part(xi) for i in m.factors[0][0].ops
-    )
-
-
 def verify_spherical_form(space: Space, max_degree: int, max_len: int) -> VerifyReport:
     """Candidates (annihilated and primitive) must, modulo decomposables, be
     sums of all-odd words; in odd degrees over a suspension-like space the
@@ -490,44 +497,52 @@ def verify_spherical_form(space: Space, max_degree: int, max_len: int) -> Verify
 
     Each claim says that a member lies in the span of the monomials it
     allows, so it holds on a whole subspace once it holds on a basis: every
-    basis vector is checked, and `checked` counts them."""
+    basis vector is checked, and `checked` counts them.  A kernel vector is
+    a mask over the basis, so one AND with the mask of the monomials a claim
+    forbids decides it; offending terms are listed in basis order."""
     t0 = time.perf_counter()
     report = VerifyReport(
         "3", space_name(space), {"max_degree": max_degree, "max_length": max_len}, 0
     )
     suspension = is_suspension_like(space)
     for degree in range(1, max_degree + 1):
-        for xi in annihilated_subspace(space, degree, max_len):
+        odd = degree % 2
+        basis = monomial_basis(space, degree, max_len)
+        even_led = unclean = 0
+        for i, m in enumerate(basis):
+            w = m.factors[0][0]
+            if m.total_exponent != 1:
+                unclean |= odd << i
+            elif any(op % 2 == 0 for op in w.ops):
+                unclean |= 1 << i
+                if w.ops[0] % 2 == 0 and excess(w.ops, gen_degree(w.gen)) >= 2:
+                    even_led |= 1 << i
+        for mask in annihilated_kernel(space, degree, max_len):
             report.checked += 1
-            for m in indecomposable_part(xi):
+            for i in bits(mask & even_led):
+                (xi,) = _elements(basis, [mask])
+                m = basis[i]
                 w = m.factors[0][0]
-                if not w.ops or w.ops[0] % 2:
-                    continue
-                ex = excess(w.ops, gen_degree(w.gen))
-                if ex >= 2:
-                    report.failures.append(
-                        f"annihilated member has an even-led term of excess >= 2: "
-                        f"{format_element(frozenset({m}))} in {format_element(xi)}"
-                    )
-                if degree % 2 and ex >= 3:
+                report.failures.append(
+                    f"annihilated member has an even-led term of excess >= 2: "
+                    f"{format_element(frozenset({m}))} in {format_element(xi)}"
+                )
+                if odd and excess(w.ops, gen_degree(w.gen)) >= 3:
                     report.failures.append(
                         f"odd-degree annihilated member has an even-led term of "
                         f"excess >= 3: {format_element(frozenset({m}))}"
                     )
-        for xi in spherical_candidates(space, degree, max_len):
+        for mask in candidate_kernel(space, degree, max_len):
             report.checked += 1
-            odd = _indecomposables_all_odd(xi)
-            if degree % 2 == 0:
-                if not odd:
-                    report.failures.append(
-                        f"even-degree candidate whose indecomposable part has an "
-                        f"even entry: {format_element(xi)}"
-                    )
+            if not mask & unclean:
                 continue
-            clean = odd and not decomposable_part(xi)
-            if clean:
-                continue
-            if suspension:
+            (xi,) = _elements(basis, [mask])
+            if not odd:
+                report.failures.append(
+                    f"even-degree candidate whose indecomposable part has an "
+                    f"even entry: {format_element(xi)}"
+                )
+            elif suspension:
                 report.failures.append(
                     f"odd-degree candidate over a suspension is not an all-odd "
                     f"word sum: {format_element(xi)}"

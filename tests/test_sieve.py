@@ -22,6 +22,7 @@ from qhk.algebra import (
     _coproduct_word,
     _tensor_pow,
     apply_q,
+    decomposable_part,
     el_add,
     el_degree,
     el_gen,
@@ -40,7 +41,7 @@ from qhk.sieve import (
     VerifyReport,
     _admissible_sequences,
     _annihilated_prefix,
-    _bits,
+    bits,
     annihilated_subspace,
     check_curtis_bound,
     _coproduct_packing,
@@ -60,9 +61,17 @@ from qhk.sieve import (
     verify_spherical_form,
     verify_suspension_factorization,
 )
-from qhk.spaces import Generator, RealProj, SigmaCPplus, Sphere, space_name
+from qhk.spaces import (
+    Generator,
+    RealProj,
+    SigmaCPplus,
+    Sphere,
+    gen_degree,
+    is_suspension_like,
+    space_name,
+)
 from qhk.steenrod import element_is_A_annihilated, nishida_expansion, sq_down
-from qhk.words import AdmissibleGen, admissible_words, is_admissible_ops, word_sort_key
+from qhk.words import AdmissibleGen, admissible_words, excess, is_admissible_ops, word_sort_key
 
 P = RealProj()
 S1 = Sphere(1)
@@ -221,7 +230,7 @@ def test_bits_lists_the_set_positions_in_ascending_order():
     masks += [sum(1 << i for i in rng.sample(range(50_000), 100)) for _ in range(3)]
     masks += [rng.getrandbits(300) for _ in range(10)]
     for m in masks:
-        assert list(_bits(m)) == reference(m)
+        assert list(bits(m)) == reference(m)
 
 
 # -- bases ---------------------------------------------------------------------
@@ -616,6 +625,116 @@ def test_verify_spherical_form_checks_every_basis_vector():
             len(annihilated_subspace(space, d, cap)) + len(spherical_candidates(space, d, cap))
             for d in range(1, top + 1)
         )
+
+
+def _spherical_form_by_elements(space, top, cap):
+    """Theorem 3's report from the per-member Element checks the masks
+    replaced: each annihilated member and candidate taken apart by
+    indecomposable_part and decomposable_part, with the millis 0.  Offending
+    terms of one member are taken in basis order."""
+    report = VerifyReport("3", space_name(space), {"max_degree": top, "max_length": cap}, 0)
+    for degree in range(1, top + 1):
+        order = {m: i for i, m in enumerate(monomial_basis(space, degree, cap))}
+        for xi in annihilated_subspace(space, degree, cap):
+            report.checked += 1
+            for m in sorted(indecomposable_part(xi), key=order.__getitem__):
+                w = m.factors[0][0]
+                if not w.ops or w.ops[0] % 2:
+                    continue
+                ex = excess(w.ops, gen_degree(w.gen))
+                if ex >= 2:
+                    report.failures.append(
+                        f"annihilated member has an even-led term of excess >= 2: "
+                        f"{format_element(frozenset({m}))} in {format_element(xi)}"
+                    )
+                if degree % 2 and ex >= 3:
+                    report.failures.append(
+                        f"odd-degree annihilated member has an even-led term of "
+                        f"excess >= 3: {format_element(frozenset({m}))}"
+                    )
+        for xi in spherical_candidates(space, degree, cap):
+            report.checked += 1
+            odd = all(i % 2 for m in indecomposable_part(xi) for i in m.factors[0][0].ops)
+            if degree % 2 == 0:
+                if not odd:
+                    report.failures.append(
+                        f"even-degree candidate whose indecomposable part has an "
+                        f"even entry: {format_element(xi)}"
+                    )
+            elif not odd or decomposable_part(xi):
+                if is_suspension_like(space):
+                    report.failures.append(
+                        f"odd-degree candidate over a suspension is not an all-odd "
+                        f"word sum: {format_element(xi)}"
+                    )
+                else:
+                    report.excluded.append(format_element(xi))
+    return report.to_json()
+
+
+def _theorem_3_report(space, top, cap):
+    report = verify_spherical_form(space, top, cap)
+    report.millis = 0
+    return report.to_json()
+
+
+@pytest.mark.parametrize(
+    "space, cap, top",
+    [(P, 2, 14), (P, 3, 12), (S1, 3, 18), (SigmaCPplus(), 2, 12), (RealProj(shift=1), 2, 12)],
+    ids=("P", "P-cap3", "S1", "SCP", "P^s1"),
+)
+def test_theorem_3_masks_match_the_element_checks(space, cap, top):
+    assert _theorem_3_report(space, top, cap) == _spherical_form_by_elements(space, top, cap)
+
+
+def _with_vectors(monkeypatch, kernel, added):
+    """Add to a kernel, in each degree, the vectors with these expressions."""
+    original = getattr(qhk.sieve, kernel)
+
+    def patched(sp, degree, max_len):
+        basis = monomial_basis(sp, degree, max_len)
+        extra = tuple(
+            sum(1 << basis.index(m) for m in parse_element(text))
+            for text in added.get(degree, ())
+        )
+        return original(sp, degree, max_len) + extra
+
+    monkeypatch.setattr(qhk.sieve, kernel, patched)
+
+
+def test_theorem_3_failure_branches(monkeypatch):
+    # odd-degree annihilated members with one and two even-led words of
+    # excess >= 3, even-degree ones with an even-led word of excess 2 and 4,
+    # an even-degree candidate with an even entry, and an odd-degree candidate
+    # with a decomposable term
+    annihilated = {5: ["Q^4 a1"], 6: ["Q^4 a2"], 8: ["Q^6 a2"], 9: ["a9 + Q^6 a3 + Q^8 a1"]}
+    _with_vectors(monkeypatch, "annihilated_kernel", annihilated)
+    _with_vectors(monkeypatch, "candidate_kernel", {6: ["Q^4 a2"], 3: ["a1^3"]})
+    report = _theorem_3_report(P, 9, 2)
+    assert report == _spherical_form_by_elements(P, 9, 2)
+    # the terms of one member in basis order: Q^8 a1 before Q^6 a3
+    assert report["failures"] == [
+        "annihilated member has an even-led term of excess >= 2: Q^4 a1 in Q^4 a1",
+        "odd-degree annihilated member has an even-led term of excess >= 3: Q^4 a1",
+        "annihilated member has an even-led term of excess >= 2: Q^4 a2 in Q^4 a2",
+        "even-degree candidate whose indecomposable part has an even entry: Q^4 a2",
+        "annihilated member has an even-led term of excess >= 2: Q^6 a2 in Q^6 a2",
+        "annihilated member has an even-led term of excess >= 2: Q^8 a1 in Q^8 a1 + Q^6 a3 + a9",
+        "odd-degree annihilated member has an even-led term of excess >= 3: Q^8 a1",
+        "annihilated member has an even-led term of excess >= 2: Q^6 a3 in Q^8 a1 + Q^6 a3 + a9",
+        "odd-degree annihilated member has an even-led term of excess >= 3: Q^6 a3",
+    ]
+    # over P the odd-degree form is not claimed: the decomposable candidate
+    # lands in excluded, after the degree-3 class
+    assert report["excluded"][:2] == ["Q^2 a1 + a3 + a1^3 + a1*a2", "a1^3"]
+    # over a suspension it is a failure
+    monkeypatch.undo()
+    _with_vectors(monkeypatch, "candidate_kernel", {3: ["g1^3"]})
+    report = _theorem_3_report(S1, 5, 2)
+    assert report == _spherical_form_by_elements(S1, 5, 2)
+    assert report["failures"] == [
+        "odd-degree candidate over a suspension is not an all-odd word sum: g1^3"
+    ]
 
 
 def test_hidden_witness_for_the_degree_three_class():
