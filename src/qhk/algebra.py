@@ -30,11 +30,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
+from weakref import WeakValueDictionary
 
 from .adem import admissible_expansion
 from .spaces import (
     SPHERE,
     Generator,
+    _Canonical,
     gen_degree,
     reduced_coproduct_gen,
     root_gen,
@@ -43,11 +45,11 @@ from .spaces import (
 from .words import AdmissibleGen, lower_entries
 
 
-_MONOMIALS: dict[tuple[tuple[AdmissibleGen, int], ...], Monomial] = {}
+_MONOMIALS: WeakValueDictionary[tuple[tuple[AdmissibleGen, int], ...], Monomial] = WeakValueDictionary()
 
 
 @dataclass(frozen=True, slots=True, eq=False, init=False)
-class Monomial:
+class Monomial(_Canonical):
     """Product of word powers, factors ascending by word order.  Monomials
     are canonical (see spaces.py): Monomial(factors) is the one monomial
     with that factor tuple, so == is identity and the hash is object's.

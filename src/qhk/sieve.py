@@ -39,7 +39,7 @@ from .algebra import (
     suspend,
     suspend_gen,
 )
-from .exprs import format_element
+from .exprs import element_text, format_element, format_word_power, listing_terms, monomial_text
 from .mod2 import lowest_zero_bit
 from .spaces import Space, gen_degree, is_gen_A_annihilated, is_suspension_like, space_name
 from .steenrod import element_is_A_annihilated, madsen_action, sq_down, word_is_A_annihilated
@@ -313,11 +313,12 @@ def annihilated_subspace(space: Space, degree: int, max_len: int) -> tuple[Eleme
     return _elements(monomial_basis(space, degree, max_len), annihilated_kernel(space, degree, max_len))
 
 
-def _annihilated_prefix(space: Space, degree: int, max_len: int, count: int) -> tuple[Element, ...]:
-    """The first `count` vectors of annihilated_subspace(space, degree,
-    max_len), or all of them if there are fewer.  Each kernel vector is
-    final when _map_kernel yields it, so the basis walk and the Steenrod
-    images stop at the row of the last vector taken."""
+def _annihilated_prefix(space: Space, degree: int, max_len: int, count: int) -> tuple[list, list[int]]:
+    """The monomials the basis walk reached, and the first `count` masks of
+    annihilated_kernel(space, degree, max_len) over them, or all of them if
+    there are fewer.  Each kernel vector is final when _map_kernel yields
+    it, so the walk and the Steenrod images stop at the row of the last
+    vector taken: the monomials are a prefix of monomial_basis."""
     basis: list[Monomial] = []
     packing = _steenrod_packing(space, degree, max_len)
 
@@ -326,26 +327,20 @@ def _annihilated_prefix(space: Space, degree: int, max_len: int, count: int) -> 
             basis.append(m)
             yield packing.terms(m)
 
-    masks = list(islice(_map_kernel(rows()), count))
-    return _elements(basis, masks)
+    return basis, list(islice(_map_kernel(rows()), count))
 
 
 @lru_cache(maxsize=1)
-def _primitive_kernel(space: Space, degree: int, max_len: int) -> tuple[int, ...]:
+def primitive_kernel(space: Space, degree: int, max_len: int) -> tuple[int, ...]:
     """The primitive basis as masks over the basis monomials, kept for one
-    degree at a time; the coproduct images die with the call."""
+    degree at a time: the primitive and the sieve listings of one degree
+    share it.  The coproduct images die with the call."""
     basis = monomial_basis(space, degree, max_len)
     return tuple(_map_kernel(map(_coproduct_packing(space, degree, max_len).terms, basis)))
 
 
-def primitive_kernel(space: Space, degree: int, max_len: int) -> tuple[int, ...]:
-    """_primitive_kernel, which the primitive and the sieve listings of one
-    degree share."""
-    return _primitive_kernel(space, degree, max_len)
-
-
 def primitive_subspace(space: Space, degree: int, max_len: int) -> tuple[Element, ...]:
-    return _elements(monomial_basis(space, degree, max_len), _primitive_kernel(space, degree, max_len))
+    return _elements(monomial_basis(space, degree, max_len), primitive_kernel(space, degree, max_len))
 
 
 def candidate_kernel(space: Space, degree: int, max_len: int) -> tuple[int, ...]:
@@ -358,7 +353,7 @@ def candidate_kernel(space: Space, degree: int, max_len: int) -> tuple[int, ...]
     a candidate with the top bit of p_j and no bit on another candidate's
     top bit, the vector that eliminating the stacked images would give."""
     basis = monomial_basis(space, degree, max_len)
-    prims = _primitive_kernel(space, degree, max_len)
+    prims = primitive_kernel(space, degree, max_len)
     packing = _steenrod_packing(space, degree, max_len)
     images = {i: set(packing.terms(basis[i])) for i in bits(reduce(or_, prims, 0))}
     trackers = list(_map_kernel([_combine(images, p) for p in prims]))
@@ -370,19 +365,16 @@ def spherical_candidates(space: Space, degree: int, max_len: int) -> tuple[Eleme
     return _elements(monomial_basis(space, degree, max_len), candidate_kernel(space, degree, max_len))
 
 
-def sample_members(basis, max_vectors: int) -> list[Element]:
+def sample_members(basis, max_vectors: int) -> list:
     """Deterministic nonzero members: the basis itself first, then sums in
-    ascending binary-mask order, capped."""
+    ascending binary-mask order, capped.  The basis vectors are Elements or
+    masks, and the sums are of the same kind."""
     n = len(basis)
     out = list(basis[:max_vectors])
     mask = 3
     while len(out) < max_vectors and n > 1 and mask < (1 << n):
         if mask & (mask - 1):
-            acc: set = set()
-            for i in range(n):
-                if (mask >> i) & 1:
-                    acc ^= basis[i]
-            out.append(frozenset(acc))
+            out.append(_combine(basis, mask))
         mask += 1
     return out
 
@@ -453,8 +445,9 @@ def verify_suspension_factorization(
     alone does not settle it; sums of basis vectors are sampled too.
 
     The samples are those of sample_members on the whole annihilated
-    basis, but only its first max_vectors vectors are computed: the walk
-    stops at the max_vectors-th dependent row of each degree."""
+    basis, as masks, but only its first max_vectors vectors are computed:
+    the walk stops at the max_vectors-th dependent row of each degree.  A
+    member's text is rendered from its rows like a listing's."""
     t0 = time.perf_counter()
     report = VerifyReport(
         "2",
@@ -463,22 +456,29 @@ def verify_suspension_factorization(
         0,
     )
     for degree in range(1, max_degree + 1):
-        prefix = _annihilated_prefix(space, degree, max_len, max_vectors)
-        for xi in sample_members(prefix, max_vectors):
+        basis, masks = _annihilated_prefix(space, degree, max_len, max_vectors)
+        # suspension is linear and kills decomposables, so a member's image
+        # is the sum of the images of its single words
+        singles = {
+            i: (m.factors[0][0], suspend(frozenset({m}))) for i, m in enumerate(basis) if m.total_exponent == 1
+        }
+        rows = [list(bits(x)) for x in sample_members(masks, max_vectors)]
+        texts = listing_terms(basis, rows, format_word_power, monomial_text)
+        for row, terms in zip(rows, texts):
             report.checked += 1
-            if not suspend(xi):
-                report.excluded.append(f"suspension image zero: {format_element(xi)}")
+            words = [singles[i] for i in row if i in singles]
+            if not reduce(xor, (image for _, image in words), EL_ZERO):
+                report.excluded.append(f"suspension image zero: {element_text(terms)}")
                 continue
             strata: dict[int, list[AdmissibleGen]] = {}
-            for m in indecomposable_part(xi):
-                w = m.factors[0][0]
+            for w, _ in words:
                 strata.setdefault(len(w.ops), []).append(w)
             for length, ws in sorted(strata.items()):
                 leading = max(ws, key=word_sort_key)
                 if not _witness_exists(leading):
                     report.failures.append(
                         f"no suspension witness for the length-{length} leading term "
-                        f"{format_element(frozenset({mono_word(leading)}))} of {format_element(xi)}"
+                        f"{format_element(frozenset({mono_word(leading)}))} of {element_text(terms)}"
                     )
     report.millis = int((time.perf_counter() - t0) * 1000)
     return report

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from weakref import WeakValueDictionary
 
 from .mod2 import binom_mod2
 
@@ -30,17 +31,26 @@ SIGMACP = "sigmacp"
 
 
 # The value types here, in words.py and in algebra.py are canonical: each
-# constructor returns the one object that has its fields, kept in a table
-# for the life of the process, so equality is identity and the hash is
-# object's.  The algebra's memo tables keep most of these objects alive
-# anyway.
+# constructor returns the one object that has its fields, so equality is
+# identity and the hash is object's.  A table keeps each object while
+# something else refers to it, and drops it with its last reference: a
+# weak-valued table, one policy for all four.  No reference to a dropped
+# object is left, so the next construction makes the one object again.
 
-_SPACES: dict[tuple[str, int, int], Space] = {}
-_GENERATORS: dict[tuple[Space, int], Generator] = {}
+
+class _Canonical:
+    """The base of the canonical types: a slot for the tables' weak
+    references (dataclass's weakref_slot needs Python 3.11)."""
+
+    __slots__ = ("__weakref__",)
+
+
+_SPACES: WeakValueDictionary[tuple[str, int, int], Space] = WeakValueDictionary()
+_GENERATORS: WeakValueDictionary[tuple[Space, int], Generator] = WeakValueDictionary()
 
 
 @dataclass(frozen=True, slots=True, eq=False, init=False)
-class Space:
+class Space(_Canonical):
     """A space, canonical: Space(kind, dim, shift) is the one object with
     those fields."""
 
@@ -64,7 +74,7 @@ class Space:
 
 
 @dataclass(frozen=True, slots=True, eq=False, init=False)
-class Generator:
+class Generator(_Canonical):
     """A homology generator of a space, canonical like Space."""
 
     space: Space

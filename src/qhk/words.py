@@ -21,8 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Iterator
+from weakref import WeakValueDictionary
 
-from .spaces import Generator, Space, gen_degree, gen_sort_key, generators
+from .spaces import Generator, Space, _Canonical, gen_degree, gen_sort_key, generators
 
 
 def word_degree(ops: tuple[int, ...], gen_deg: int) -> int:
@@ -59,11 +60,11 @@ def is_admissible_ops(ops: tuple[int, ...]) -> bool:
     return all(ops[j] <= 2 * ops[j + 1] for j in range(len(ops) - 1))
 
 
-_WORDS: dict[tuple[tuple[int, ...], Generator], AdmissibleGen] = {}
+_WORDS: WeakValueDictionary[tuple[tuple[int, ...], Generator], AdmissibleGen] = WeakValueDictionary()
 
 
 @dataclass(frozen=True, slots=True, eq=False, init=False)
-class AdmissibleGen:
+class AdmissibleGen(_Canonical):
     """A polynomial-algebra generator Q^I x: I admissible, positive excess.
 
     Words are canonical (see spaces.py): AdmissibleGen(ops, gen) is the one

@@ -3,6 +3,8 @@ from __future__ import annotations
 import itertools
 import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -457,3 +459,31 @@ def test_values_are_canonical_on_every_construction_path():
         for _ in range(2):
             with pytest.raises(ValueError):
                 AdmissibleGen(ops, a1)
+
+
+_LIFETIME_SNIPPET = """
+from qhk import algebra, spaces, words
+from qhk.algebra import MONO_ONE
+from qhk.sieve import monomial_basis
+from qhk.spaces import Generator, Sphere
+
+S1 = Sphere(1)
+for d in range(1, 21):
+    monomial_basis(S1, d, 3)
+basis = monomial_basis(S1, 20, 3)
+assert set(algebra._MONOMIALS.values()) == set(basis) | {MONO_ONE}, len(algebra._MONOMIALS)
+assert set(words._WORDS.values()) == {w for m in basis for w, _ in m.factors}
+assert list(spaces._GENERATORS.values()) == [Generator(S1, 1)]
+assert list(spaces._SPACES.values()) == [S1]
+print(len(algebra._MONOMIALS))
+"""
+
+
+def test_canonical_values_die_with_their_last_reference():
+    # the tables of canonical values hold them weakly: once monomial_basis
+    # keeps only degree 20, the monomials of the lower degrees are gone
+    # (a table for the life of the process held 1747 here).  A fresh
+    # interpreter, so that no other test's memo tables keep values alive
+    proc = subprocess.run([sys.executable, "-c", _LIFETIME_SNIPPET], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["431"]

@@ -362,3 +362,40 @@ def test_one_parser_serves_every_call(capsys):
     )
     assert proc.returncode == 0
     assert out == proc.stdout
+
+
+# The paper's upper bound on the spherical classes, degree by degree: the
+# basis, annihilated, primitive and sieve dimensions that the README's table
+# lists, as counted from the text listings (one element per line)
+_UPPER_BOUND_TABLE = {
+    ("P", 3): (
+        [1, 2, 4, 7, 12, 21, 35, 57, 93, 149, 235, 369],
+        [1, 1, 3, 4, 4, 8, 14, 23, 32, 53, 76, 95],
+        [1, 1, 2, 2, 3, 3, 5, 4, 6, 6, 8, 7],
+        [1, 1, 1, 2, 0, 1, 1, 3, 1, 1, 0, 1],
+    ),
+    ("S1", 4): (
+        [1, 1, 2, 3, 4, 6, 9, 12, 17, 24, 32, 44, 60, 80, 108, 144, 189, 250, 330, 430],
+        [1, 1, 1, 2, 2, 2, 2, 4, 6, 7, 8, 11, 13, 14, 15, 22, 30, 41, 52, 66],
+        [1, 1, 1, 2, 1, 2, 2, 3, 2, 3, 2, 4, 3, 4, 4, 6, 3, 5, 5, 6],
+        [1, 1, 0, 2, 0, 0, 0, 3, 1, 0, 0, 0, 0, 0, 0, 4, 1, 1, 1, 0],
+    ),
+}
+
+
+@pytest.mark.parametrize("space, cap", list(_UPPER_BOUND_TABLE), ids=("P", "S1"))
+def test_the_upper_bound_table_prefix(capsys, space, cap):
+    counts = []
+    for command in ("basis", "annihilated", "primitives", "sieve"):
+        column = []
+        for degree in range(1, len(_UPPER_BOUND_TABLE[space, cap][0]) + 1):
+            code, out, _ = run(
+                capsys, command, "--space", space, "--degree", str(degree), "--max-length", str(cap)
+            )
+            assert code == 0
+            column.append(len(out.splitlines()))
+        counts.append(column)
+    assert tuple(counts) == _UPPER_BOUND_TABLE[space, cap]
+    # the basis column is also the predicted dimension of the size guard
+    degrees = range(1, len(counts[0]) + 1)
+    assert counts[0] == [basis_dimension(parse_space(space), d, cap) for d in degrees]

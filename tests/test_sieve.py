@@ -42,16 +42,16 @@ from qhk.sieve import (
     _admissible_sequences,
     _annihilated_prefix,
     bits,
+    annihilated_kernel,
     annihilated_subspace,
     check_curtis_bound,
     _coproduct_packing,
     _map_kernel,
     _monomials,
-    _primitive_kernel,
     _steenrod_packing,
-    _witness_exists,
     basis_dimension,
     monomial_basis,
+    primitive_kernel,
     primitive_subspace,
     run_verifier,
     sample_members,
@@ -339,10 +339,14 @@ def test_the_lazy_walk_and_the_early_stop(space, cap):
 
         for mask in _map_kernel(rows()):
             assert len(pulled) == mask.bit_length(), degree
-        # so theorem 2's prefix is the head of the whole annihilated basis
-        whole = annihilated_subspace(space, degree, cap)
+        # so theorem 2's prefix walks a prefix of the basis, and its masks
+        # are the head of the whole annihilated kernel
+        whole = annihilated_kernel(space, degree, cap)
         for k in (1, 5, 64, len(whole), len(whole) + 1):
-            assert _annihilated_prefix(space, degree, cap, k) == whole[:k], (degree, k)
+            walked, masks = _annihilated_prefix(space, degree, cap, k)
+            assert tuple(walked) == basis[: len(walked)], (degree, k)
+            assert tuple(masks) == whole[:k], (degree, k)
+            assert all(mask.bit_length() <= len(walked) for mask in masks), (degree, k)
 
 
 # -- packed images against the Element layer -----------------------------------
@@ -562,7 +566,7 @@ def _whole_subspace_report(space, top, cap, max_vectors):
                 strata.setdefault(len(w.ops), []).append(w)
             for length, ws in sorted(strata.items()):
                 leading = max(ws, key=word_sort_key)
-                if not _witness_exists(leading):
+                if not qhk.sieve._witness_exists(leading):
                     failures.append(
                         f"no suspension witness for the length-{length} leading term "
                         f"{format_element(frozenset({mono_word(leading)}))} of {format_element(xi)}"
@@ -571,13 +575,32 @@ def _whole_subspace_report(space, top, cap, max_vectors):
     return VerifyReport("2", space_name(space), bounds, checked, failures, excluded).to_json()
 
 
-@pytest.mark.parametrize("space, cap, top", [(P, 2, 16), (S1, 3, 16)], ids=("P", "S1"))
+@pytest.mark.parametrize(
+    "space, cap, top",
+    [(P, 2, 16), (S1, 3, 16), (Sphere(2), 3, 16), (SigmaCPplus(), 2, 16), (RealProj(shift=1), 2, 16)],
+    ids=("P", "S1", "S2", "SCP", "P^s1"),
+)
 @pytest.mark.parametrize("max_vectors", (1, 64, 300))
 def test_theorem_2_samples_as_the_whole_subspace_did(space, cap, top, max_vectors):
-    # every field but the time: checked, and the excluded and failure strings
+    # every field but the time: checked, and the excluded and failure
+    # strings.  The verifier reads masks and renders its strings from the
+    # members' rows; the oracle builds each member as an Element.  S2, SCP
+    # and P^s1 reach suspend_gen through the sphere and the shift branches
     report = verify_suspension_factorization(space, top, cap, max_vectors)
     report.millis = 0
     assert report.to_json() == _whole_subspace_report(space, top, cap, max_vectors)
+
+
+def test_theorem_2_failure_strings_as_the_whole_subspace_did(monkeypatch):
+    # a word with an odd number of operations has no witness here, so a
+    # member whose leading word of some stratum has one writes a failure
+    # that names that word and the member; the oracle looks the witness up
+    # through the module too
+    monkeypatch.setattr(qhk.sieve, "_witness_exists", lambda w: len(w.ops) % 2 == 0)
+    report = verify_suspension_factorization(P, 14, 2, 64)
+    report.millis = 0
+    assert report.to_json() == _whole_subspace_report(P, 14, 2, 64)
+    assert len(report.failures) > 50
 
 
 # -- verifier smoke runs --------------------------------------------------------
@@ -763,10 +786,10 @@ def unmemoized_coproducts():
     """A broken coproduct must meet no memoized coproduct, and leave none
     behind for later tests."""
     _coproduct_word.cache_clear()
-    _primitive_kernel.cache_clear()
+    primitive_kernel.cache_clear()
     yield
     _coproduct_word.cache_clear()
-    _primitive_kernel.cache_clear()
+    primitive_kernel.cache_clear()
 
 
 def test_verify_root_catches_a_dropped_coproduct_term(monkeypatch, unmemoized_coproducts):
@@ -943,7 +966,7 @@ def test_pure_power_left_legs_give_the_primitive_kernel(space, cap, top):
                     if e & (e - 1) == 0:
                         row.append(columns.setdefault((l, r), len(columns)))
             rows.append(row)
-        assert list(_map_kernel(rows)) == list(_primitive_kernel(space, d, cap)), d
+        assert list(_map_kernel(rows)) == list(primitive_kernel(space, d, cap)), d
 
 
 def test_newton_primitives_lie_in_the_primitive_kernel():
@@ -1001,8 +1024,8 @@ def test_single_use_functions_keep_no_memo_table():
         for name, obj in vars(qhk.sieve).items()
         if getattr(obj, "__module__", None) == "qhk.sieve" and hasattr(obj, "cache_info")
     }
-    assert memoized == {"monomial_basis", "_primitive_kernel"}
-    assert _primitive_kernel.cache_info().maxsize == 1
+    assert memoized == {"monomial_basis", "primitive_kernel"}
+    assert primitive_kernel.cache_info().maxsize == 1
     assert monomial_basis.cache_info().maxsize == 1
     # a listing's rank and fragment tables are locals of listing_terms and
     # live for one listing: printing keeps no table of its own (the CLI's
