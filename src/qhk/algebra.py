@@ -1,8 +1,8 @@
 """The free Hopf algebra on admissible words, with exact mod-2 arithmetic.
 
-Elements are frozensets of monomials (a set is a mod-2 sum); monomials are
-sorted tuples of (word, exponent) factors.  Everything is hashable so the
-heavy recursions can memoize.
+Elements are frozensets of monomials (a set is a mod-2 sum); a monomial is
+the tuple of its (word, exponent) factors, ascending by word order.
+Everything is hashable so the heavy recursions can memoize.
 
 The operation action on a single admissible word is where the calculus
 lives: prepending an index usually breaks admissibility, Adem straightening
@@ -28,15 +28,12 @@ plain merges.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from weakref import WeakValueDictionary
 
 from .adem import admissible_expansion
 from .spaces import (
     SPHERE,
     Generator,
-    _Canonical,
     gen_degree,
     reduced_coproduct_gen,
     root_gen,
@@ -45,34 +42,20 @@ from .spaces import (
 from .words import AdmissibleGen, lower_entries
 
 
-_MONOMIALS: WeakValueDictionary[tuple[tuple[AdmissibleGen, int], ...], Monomial] = WeakValueDictionary()
+class Monomial(tuple):
+    """Product of word powers: the tuple of its (word, exponent) factors,
+    ascending by word order.  Equality and the hash are the tuple's; words
+    are canonical, so they compare by identity."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
-class Monomial(_Canonical):
-    """Product of word powers, factors ascending by word order.  Monomials
-    are canonical (see spaces.py): Monomial(factors) is the one monomial
-    with that factor tuple, so == is identity and the hash is object's.
-    The degree is computed on the first construction."""
-
-    factors: tuple[tuple[AdmissibleGen, int], ...]
-    degree: int = field(init=False, repr=False)
-
-    def __new__(cls, factors: tuple[tuple[AdmissibleGen, int], ...]) -> Monomial:
-        self = _MONOMIALS.get(factors)
-        if self is None:
-            self = object.__new__(cls)
-            object.__setattr__(self, "factors", factors)
-            object.__setattr__(self, "degree", sum(e * w.degree for w, e in factors))
-            _MONOMIALS[factors] = self
-        return self
-
-    def __reduce__(self):
-        return Monomial, (self.factors,)
+    @property
+    def degree(self) -> int:
+        return sum(e * w.degree for w, e in self)
 
     @property
     def total_exponent(self) -> int:
-        return sum(e for _, e in self.factors)
+        return sum(e for _, e in self)
 
 
 MONO_ONE = Monomial(())
@@ -92,7 +75,7 @@ def mono_from_pairs(pairs) -> Monomial:
         merged[w] = merged.get(w, 0) + e
     kept = [(w, e) for w, e in merged.items() if e > 0]
     kept.sort(key=lambda we: we[0].sort_key)
-    return Monomial(tuple(kept))
+    return Monomial(kept)
 
 
 def mono_word(w: AdmissibleGen, e: int = 1) -> Monomial:
@@ -108,38 +91,37 @@ def el_gen(g: Generator) -> Element:
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     """The product, by merging the two factor tuples, which are already
     ascending by word key (equal keys mean the same word); equal to
-    mono_from_pairs(a.factors + b.factors)."""
-    fa, fb = a.factors, b.factors
-    if not fa:
+    mono_from_pairs(a + b)."""
+    if not a:
         return b
-    if not fb:
+    if not b:
         return a
-    if fa[-1][0].sort_key < fb[0][0].sort_key:
-        return Monomial(fa + fb)
-    if fb[-1][0].sort_key < fa[0][0].sort_key:
-        return Monomial(fb + fa)
+    if a[-1][0].sort_key < b[0][0].sort_key:
+        return Monomial(a + b)
+    if b[-1][0].sort_key < a[0][0].sort_key:
+        return Monomial(b + a)
     out = []
     i = j = 0
-    na, nb = len(fa), len(fb)
+    na, nb = len(a), len(b)
     while i < na and j < nb:
-        wa, ea = fa[i]
-        wb, eb = fb[j]
+        wa, ea = a[i]
+        wb, eb = b[j]
         ka, kb = wa.sort_key, wb.sort_key
         if ka < kb:
-            out.append(fa[i])
+            out.append(a[i])
             i += 1
         elif kb < ka:
-            out.append(fb[j])
+            out.append(b[j])
             j += 1
         else:
             out.append((wa, ea + eb))
             i += 1
             j += 1
-    return Monomial(tuple(out) + fa[i:] + fb[j:])
+    return Monomial(tuple(out) + a[i:] + b[j:])
 
 
 def mono_square(m: Monomial) -> Monomial:
-    return Monomial(tuple((w, 2 * e) for w, e in m.factors))
+    return Monomial((w, 2 * e) for w, e in m)
 
 
 def el_add(*els: Element) -> Element:
@@ -207,9 +189,9 @@ def _cartan(f, n: int, m: Monomial) -> Element:
     """f(n, m), m not a single word, for an action f with the Cartan formula
     and f_n(v^2) = f_{n/2}(v)^2 (0 at odd n): v^(2k) squares f_{n/2}(v^k),
     and any other m splits into its first power (or v and v^(e-1)) and rest."""
-    w, e = m.factors[0]
-    if len(m.factors) > 1:
-        left, right = mono_word(w, e), Monomial(m.factors[1:])
+    w, e = m[0]
+    if len(m) > 1:
+        left, right = mono_word(w, e), Monomial(m[1:])
     elif e % 2:
         left, right = mono_word(w), mono_word(w, e - 1)
     else:
@@ -228,15 +210,15 @@ def _cartan(f, n: int, m: Monomial) -> Element:
 
 @lru_cache(maxsize=None)
 def _apply_q_mono(n: int, m: Monomial) -> Element:
-    if not m.factors:
+    if not m:
         return EL_ONE if n == 0 else EL_ZERO
     d = m.degree
     if n < d:
         return EL_ZERO
     if n == d:
         return frozenset({mono_square(m)})
-    w, e = m.factors[0]
-    if e == 1 and len(m.factors) == 1:
+    w, e = m[0]
+    if e == 1 and len(m) == 1:
         return normalize((n,) + w.ops, w.gen)
     return _cartan(_apply_q_mono, n, m)
 
@@ -305,7 +287,7 @@ def _tensor_pow(a: TensorElement, e: int) -> TensorElement:
 def _coproduct_mono(m: Monomial) -> TensorElement:
     """The product of the factors' powers, starting from the first one, so
     the coproduct of one word is the memoized _coproduct_word."""
-    powers = [_tensor_pow(_coproduct_word(w), e) for w, e in m.factors]
+    powers = [_tensor_pow(_coproduct_word(w), e) for w, e in m]
     return reduce(_tensor_mul, powers) if powers else TENSOR_ONE
 
 
@@ -345,7 +327,7 @@ def suspend(el: Element, k: int = 1) -> Element:
         for m in el:
             if m.total_exponent != 1:
                 continue
-            w = m.factors[0][0]
+            w = m[0][0]
             res = evaluate_admissible(w.ops, suspend_gen(w.gen))
             if res is not None:
                 out ^= {res}
@@ -371,7 +353,7 @@ def root(el: Element) -> Element:
     out: set = set()
     for m in el:
         part: Element = EL_ONE
-        for w, e in m.factors:
+        for w, e in m:
             if e // 2:
                 part = el_mul(part, frozenset({mono_word(w, e // 2)}))
             if e % 2:

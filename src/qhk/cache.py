@@ -56,8 +56,8 @@ def basis_to_bytes(space: Space, degree: int, max_len: int, basis: tuple[Monomia
     out += struct.pack("<BII", _KIND_CODE[space.kind], space.dim, space.shift)
     out += struct.pack("<III", degree, max_len, len(basis))
     for m in basis:
-        out += struct.pack("<I", len(m.factors))
-        for w, e in m.factors:
+        out += struct.pack("<I", len(m))
+        for w, e in m:
             out += struct.pack("<III", e, w.gen.index, len(w.ops))
             out += struct.pack(f"<{len(w.ops)}I", *w.ops)
     out += struct.pack("<I", zlib.crc32(bytes(out)))

@@ -166,7 +166,7 @@ def parse_element(text: str, space: Space | None = None) -> Element:
 # -- printing -----------------------------------------------------------------
 
 def _mono_key(m: Monomial):
-    return (m.degree, tuple((word_sort_key(w), e) for w, e in m.factors))
+    return (m.degree, tuple((word_sort_key(w), e) for w, e in m))
 
 
 def format_word_power(w: AdmissibleGen, e: int) -> str:
@@ -192,7 +192,7 @@ def element_text(terms: list[str]) -> str:
 
 def format_element(el: Element) -> str:
     return element_text([
-        monomial_text([format_word_power(w, e) for w, e in m.factors])
+        monomial_text([format_word_power(w, e) for w, e in m])
         for m in sorted(el, key=_mono_key, reverse=True)
     ])
 
@@ -211,7 +211,7 @@ def listing_terms(basis, rows, render_factor, join_factors):
     fragments = []
     for i in used:
         parts = []
-        for we in basis[i].factors:
+        for we in basis[i]:
             part = rendered.get(we)
             if part is None:
                 part = rendered[we] = render_factor(*we)
@@ -235,7 +235,7 @@ def factor_to_json(w: AdmissibleGen, e: int) -> dict:
 def element_to_json(el: Element) -> dict:
     return {
         "terms": [
-            {"factors": [factor_to_json(w, e) for w, e in m.factors]}
+            {"factors": [factor_to_json(w, e) for w, e in m]}
             for m in sorted(el, key=_mono_key, reverse=True)
         ]
     }

@@ -109,7 +109,7 @@ def _monomials(space: Space, degree: int, max_len: int):
     while stack:
         start, left, acc = pop()
         if not left:
-            yield Monomial(tuple(sorted(acc, key=_factor_sort_key)) if len(acc) > 1 else acc)
+            yield Monomial(sorted(acc, key=_factor_sort_key))
             continue
         for j in range(start, fit[left]):
             w = words[j]
@@ -182,7 +182,7 @@ class _WordFields:
 
     def pack(self, m: Monomial) -> int:
         x = 0
-        for w, e in m.factors:
+        for w, e in m:
             x += e << self.fields[w]
         return x
 
@@ -239,18 +239,17 @@ class _DegreePacking(_WordFields):
     def terms(self, m: Monomial) -> list[int]:
         """The kept terms of a monomial's image, the product over its
         factors."""
-        factors = m.factors
-        if not factors:
+        if not m:
             # the image of 1 is its one term of low field 0, never kept
             return []
-        w, e = factors[0]
+        w, e = m[0]
         out = self._power(w, e)
-        if len(factors) == 1:
+        if len(m) == 1:
             low, kept = self.low, self.kept
             return [x for x in out if x & low in kept]
-        for w, e in factors[1:-1]:
+        for w, e in m[1:-1]:
             out = self._times(out, self._power(w, e), self.inner)
-        w, e = factors[-1]
+        w, e = m[-1]
         return self._times(out, self._power(w, e), self.kept)
 
 
@@ -460,7 +459,7 @@ def verify_suspension_factorization(
         # suspension is linear and kills decomposables, so a member's image
         # is the sum of the images of its single words
         singles = {
-            i: (m.factors[0][0], suspend(frozenset({m}))) for i, m in enumerate(basis) if m.total_exponent == 1
+            i: (m[0][0], suspend(frozenset({m}))) for i, m in enumerate(basis) if m.total_exponent == 1
         }
         rows = [list(bits(x)) for x in sample_members(masks, max_vectors)]
         texts = listing_terms(basis, rows, format_word_power, monomial_text)
@@ -510,7 +509,7 @@ def verify_spherical_form(space: Space, max_degree: int, max_len: int) -> Verify
         basis = monomial_basis(space, degree, max_len)
         even_led = unclean = 0
         for i, m in enumerate(basis):
-            w = m.factors[0][0]
+            w = m[0][0]
             if m.total_exponent != 1:
                 unclean |= odd << i
             elif any(op % 2 == 0 for op in w.ops):
@@ -522,7 +521,7 @@ def verify_spherical_form(space: Space, max_degree: int, max_len: int) -> Verify
             for i in bits(mask & even_led):
                 (xi,) = _elements(basis, [mask])
                 m = basis[i]
-                w = m.factors[0][0]
+                w = m[0][0]
                 report.failures.append(
                     f"annihilated member has an even-led term of excess >= 2: "
                     f"{format_element(frozenset({m}))} in {format_element(xi)}"

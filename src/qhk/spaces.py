@@ -30,12 +30,13 @@ REALPROJ = "realproj"
 SIGMACP = "sigmacp"
 
 
-# The value types here, in words.py and in algebra.py are canonical: each
-# constructor returns the one object that has its fields, so equality is
-# identity and the hash is object's.  A table keeps each object while
-# something else refers to it, and drops it with its last reference: a
-# weak-valued table, one policy for all four.  No reference to a dropped
-# object is left, so the next construction makes the one object again.
+# The value types here and in words.py are canonical: each constructor
+# returns the one object that has its fields, so equality is identity and
+# the hash is object's.  A table keeps each object while something else
+# refers to it, and drops it with its last reference: a weak-valued table,
+# one policy for all three.  No reference to a dropped object is left, so
+# the next construction makes the one object again.  A monomial is not
+# interned: it is the tuple of its factors (algebra.py), equal by value.
 
 
 class _Canonical:

@@ -80,8 +80,8 @@ def _sq_down_mono(a: int, m: Monomial) -> Element:
     if a > m.degree:
         # the target degree is negative
         return EL_ZERO
-    w, e = m.factors[0]
-    if e > 1 or len(m.factors) > 1:
+    w, e = m[0]
+    if e > 1 or len(m) > 1:
         return _cartan(_sq_down_mono, a, m)
     out: set = set()
     for k, r in nishida_expansion(a, w.ops):
@@ -133,4 +133,4 @@ def element_is_A_annihilated(el: Element) -> bool:
 def mono_height(m: Monomial) -> int:
     """sum of exponent * 2^(word length); the Steenrod action preserves it,
     which is what justifies treating length strata independently."""
-    return sum(e * 2 ** len(w.ops) for w, e in m.factors)
+    return sum(e * 2 ** len(w.ops) for w, e in m)

@@ -142,7 +142,7 @@ def _encode_raw(space, degree, cap, monomials):
 
 def test_raw_encoding_of_a_canonical_basis_is_the_real_format(tmp_path):
     basis = monomial_basis(P, 3, 2)
-    raw = [[(w.ops, w.gen.index, e) for w, e in m.factors] for m in basis]
+    raw = [[(w.ops, w.gen.index, e) for w, e in m] for m in basis]
     data = _encode_raw(P, 3, 2, raw)
     assert data == basis_to_bytes(P, 3, 2, basis)
     cache_path(tmp_path, P, 3, 2).write_bytes(data)

@@ -478,7 +478,7 @@ def test_packed_terms_where_sums_collide():
 def test_packed_fields_hold_the_largest_exponents():
     # a1^d has the widest exponent field of its degree, and its Steenrod and
     # coproduct images have the most terms of low word degree
-    a1 = monomial_basis(P, 1, 2)[0].factors[0][0]
+    a1 = monomial_basis(P, 1, 2)[0][0][0]
     for degree in range(1, 21):
         _check_packed_terms(P, degree, 2, [mono_word(a1, degree)])
 
@@ -562,7 +562,7 @@ def _whole_subspace_report(space, top, cap, max_vectors):
                 continue
             strata = {}
             for m in indecomposable_part(xi):
-                w = m.factors[0][0]
+                w = m[0][0]
                 strata.setdefault(len(w.ops), []).append(w)
             for length, ws in sorted(strata.items()):
                 leading = max(ws, key=word_sort_key)
@@ -661,7 +661,7 @@ def _spherical_form_by_elements(space, top, cap):
         for xi in annihilated_subspace(space, degree, cap):
             report.checked += 1
             for m in sorted(indecomposable_part(xi), key=order.__getitem__):
-                w = m.factors[0][0]
+                w = m[0][0]
                 if not w.ops or w.ops[0] % 2:
                     continue
                 ex = excess(w.ops, gen_degree(w.gen))
@@ -677,7 +677,7 @@ def _spherical_form_by_elements(space, top, cap):
                     )
         for xi in spherical_candidates(space, degree, cap):
             report.checked += 1
-            odd = all(i % 2 for m in indecomposable_part(xi) for i in m.factors[0][0].ops)
+            odd = all(i % 2 for m in indecomposable_part(xi) for i in m[0][0].ops)
             if degree % 2 == 0:
                 if not odd:
                     report.failures.append(
@@ -889,7 +889,7 @@ def test_primitives_of_a_suspension_are_the_powers_of_two_of_words(space, cap, t
         powers = [
             frozenset({m})
             for m in monomial_basis(space, d, cap)
-            if len(m.factors) == 1 and not m.factors[0][1] & (m.factors[0][1] - 1)
+            if len(m) == 1 and not m[0][1] & (m[0][1] - 1)
         ]
         prims = primitive_subspace(space, d, cap)
         assert len(prims) == len(powers) and set(prims) == set(powers), d
@@ -961,8 +961,8 @@ def test_pure_power_left_legs_give_the_primitive_kernel(space, cap, top):
         for m in monomial_basis(space, d, cap):
             row = []
             for l, r in reduced_coproduct(frozenset({m})):
-                if l.degree <= d // 2 and len(l.factors) == 1:
-                    e = l.factors[0][1]
+                if l.degree <= d // 2 and len(l) == 1:
+                    e = l[0][1]
                     if e & (e - 1) == 0:
                         row.append(columns.setdefault((l, r), len(columns)))
             rows.append(row)
