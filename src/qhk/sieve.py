@@ -95,7 +95,7 @@ def _monomials(space: Space, degree: int, max_len: int):
     an explicit stack, and pushes no branch that no word can finish."""
     if degree < 0:
         return
-    words = [w for d in range(1, degree + 1) for w in admissible_words(space, d, max_len)]
+    words = _words_upto(space, degree, max_len)
     # fit[r]: how many words have degree <= r, so words[:fit[r]] fit in r
     fit = [0] * (degree + 1)
     for w in words:
@@ -121,6 +121,13 @@ def _monomials(space: Space, degree: int, max_len: int):
 
 
 @lru_cache(maxsize=1)
+def _words_upto(space: Space, degree: int, max_len: int) -> tuple[AdmissibleGen, ...]:
+    """The words of degrees 1..degree (length capped), ascending in degree, kept
+    for one degree at a time: the basis walk, word fields and dimension share them."""
+    return tuple(w for d in range(1, degree + 1) for w in admissible_words(space, d, max_len))
+
+
+@lru_cache(maxsize=1)
 def monomial_basis(space: Space, degree: int, max_len: int) -> tuple[Monomial, ...]:
     """The monomials of `_monomials`, as a tuple kept for one degree at a
     time."""
@@ -135,10 +142,10 @@ def basis_dimension(space: Space, degree: int, max_len: int) -> int:
     if degree < 0:
         return 0
     dims = [1] + [0] * degree
-    for d in range(1, degree + 1):
-        for _ in admissible_words(space, d, max_len):
-            for k in range(d, degree + 1):
-                dims[k] += dims[k - d]
+    for w in _words_upto(space, degree, max_len):
+        d = w.degree
+        for k in range(d, degree + 1):
+            dims[k] += dims[k - d]
     return dims[degree]
 
 
@@ -173,11 +180,9 @@ class _WordFields:
         # largest term, and this order keeps its fill-in low (the Steenrod
         # kernel over P at degree 22, cap 2, takes twice as long with the
         # fields descending)
-        for d in range(1, degree + 1):
-            width = (degree // d).bit_length()
-            for w in admissible_words(space, d, max_len):
-                self.fields[w] = pos
-                pos += width
+        for w in _words_upto(space, degree, max_len):
+            self.fields[w] = pos
+            pos += (degree // w.degree).bit_length()
         self.right = pos - degree.bit_length()
 
     def pack(self, m: Monomial) -> int:
@@ -196,57 +201,55 @@ class _DegreePacking(_WordFields):
     (Frobenius is additive mod 2).
 
     `word_terms(p, w)` gives the terms of one word's image as ints packed
-    on p; the packing only multiplies them.
-    Products drop every term whose low field exceeds `top`: low fields only
-    grow under products, so no dropped term could have come back below it.
-    A monomial's image keeps the terms whose low field lies in `kept`, a
-    subset of 1..top; its last product drops the others as it forms them.
-    The state lives as long as one image call."""
+    on p; the packing only multiplies them.  `cut(p)` gives a mask `key`
+    and two frozensets of its values, `kept` within `inner`.  Products drop
+    every term whose key is not in `inner`, which is sound because the
+    packing picks a key that no later product brings back into `inner`.  A
+    monomial's image keeps the terms whose key lies in `kept`; its last
+    product drops the others as it forms them.  The state lives as long as
+    one image call."""
 
-    def __init__(
-        self, space: Space, degree: int, max_len: int, word_terms, top: int, kept
-    ) -> None:
+    def __init__(self, space: Space, degree: int, max_len: int, word_terms, cut) -> None:
         super().__init__(space, degree, max_len)
-        self.inner = frozenset(range(top + 1))
-        self.kept = frozenset(kept)
+        self.key, self.inner, self.kept = cut(self)
         self._word_terms = word_terms
         self._powers: dict[tuple[AdmissibleGen, int], list[int]] = {}
 
-    def _times(self, xs: list[int], ys: list[int], lows: frozenset[int]) -> list[int]:
-        """The product of two term lists, keeping the terms whose low field
-        lies in `lows`."""
-        low = self.low
-        zs = [z for x in xs for y in ys if (z := x + y) & low in lows]
+    def _times(self, xs: list[int], ys: list[int], keys: frozenset[int]) -> list[int]:
+        """The product of two term lists, keeping the terms whose key lies
+        in `keys`."""
+        key = self.key
+        zs = [z for x in xs for y in ys if (z := x + y) & key in keys]
         if len(set(zs)) == len(zs):
             # no two sums are equal, so every coefficient is 1
             return zs
         return [z for z, n in Counter(zs).items() if n & 1]
 
     def _power(self, w: AdmissibleGen, e: int) -> list[int]:
-        key = (w, e)
-        if key not in self._powers:
-            low, inner = self.low, self.inner
+        terms = self._powers.get((w, e))
+        if terms is None:
+            key, inner = self.key, self.inner
             if e == 1:
-                terms = [x for x in self._word_terms(self, w) if x & low in inner]
+                terms = [x for x in self._word_terms(self, w) if x & key in inner]
             else:
                 # the terms of (w^h)^2 are those of w^h, doubled
-                terms = [x for h in self._power(w, e >> 1) if (x := h << 1) & low in inner]
+                terms = [x for h in self._power(w, e >> 1) if (x := h << 1) & key in inner]
                 if e & 1:
                     terms = self._times(terms, self._power(w, 1), inner)
-            self._powers[key] = terms
-        return self._powers[key]
+            self._powers[w, e] = terms
+        return terms
 
     def terms(self, m: Monomial) -> list[int]:
         """The kept terms of a monomial's image, the product over its
         factors."""
         if not m:
-            # the image of 1 is its one term of low field 0, never kept
+            # the image of 1 is its one term of key 0, never kept
             return []
         w, e = m[0]
         out = self._power(w, e)
         if len(m) == 1:
-            low, kept = self.low, self.kept
-            return [x for x in out if x & low in kept]
+            key, kept = self.key, self.kept
+            return [x for x in out if x & key in kept]
         for w, e in m[1:-1]:
             out = self._times(out, self._power(w, e), self.inner)
         w, e = m[-1]
@@ -256,21 +259,29 @@ class _DegreePacking(_WordFields):
 def _steenrod_packing(space: Space, degree: int, max_len: int) -> _DegreePacking:
     """The total Steenrod image is multiplicative (Cartan), so a monomial's
     is the product of its factors' images, cut at the largest 2^k below the
-    degree; the terms of index 2^k are kept."""
+    degree; the terms of index 2^k are kept.  The key is the low field:
+    indices only grow under products."""
     top = 1 << (degree - 1).bit_length() >> 1
 
     def word_terms(p: _DegreePacking, w: AdmissibleGen):
         el = frozenset({mono_word(w)})
         return (a + p.pack(t) for a in range(min(top, w.degree) + 1) for t in sq_down(a, el))
 
-    kept = (1 << k for k in range(top.bit_length()))
-    return _DegreePacking(space, degree, max_len, word_terms, top, kept)
+    def cut(p: _DegreePacking):
+        return p.low, frozenset(range(top + 1)), frozenset(1 << k for k in range(top.bit_length()))
+
+    return _DegreePacking(space, degree, max_len, word_terms, cut)
 
 
 def _coproduct_packing(space: Space, degree: int, max_len: int) -> _DegreePacking:
-    """Half of the reduced coproduct: the tensor terms l (x) r with
-    0 < deg l <= degree // 2.  The reduced coproduct is cocommutative, so its
-    other half is the twist of this one, and the two have the same kernel."""
+    """The terms l (x) r of the reduced coproduct with l = w^(2^j), one word
+    to a power of 2, and 0 < deg l <= degree // 2.  They decide primitivity:
+    the least left degree of a nonzero reduced coproduct is <= d/2
+    (cocommutativity), its left legs there are primitive (coassociativity),
+    and a nonzero primitive has a term w^(2^j) (Milnor-Moore).  The key is
+    the low and left fields, and `inner` holds 1 and the w^e of left degree
+    <= d/2: a product's left leg gathers its factors' words and exponents,
+    so one with two words or too large a degree never comes back."""
 
     def word_terms(p: _DegreePacking, w: AdmissibleGen):
         # the whole Δ: its unit terms carry the word to either side of a
@@ -278,8 +289,17 @@ def _coproduct_packing(space: Space, degree: int, max_len: int) -> _DegreePackin
         el = frozenset({mono_word(w)})
         return (l.degree + p.pack(l) + (p.pack(r) << p.right) for l, r in coproduct(el))
 
-    top = degree // 2
-    return _DegreePacking(space, degree, max_len, word_terms, top, range(1, top + 1))
+    def cut(p: _DegreePacking):
+        # w^e packs as e deg w in the low field plus e in the field at s
+        powers = {
+            e * (w.degree + (1 << s)): e
+            for w, s in p.fields.items()
+            for e in range(1, degree // 2 // w.degree + 1)
+        }
+        kept = frozenset(x for x, e in powers.items() if not e & (e - 1))
+        return ((p.low + 1) << p.right) - 1, frozenset([0, *powers]), kept
+
+    return _DegreePacking(space, degree, max_len, word_terms, cut)
 
 
 def bits(mask: int):

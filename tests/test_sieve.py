@@ -358,6 +358,10 @@ def _powers_of_two_below(degree):
         a *= 2
 
 
+def _is_power_of_two(e):
+    return e > 0 and not e & (e - 1)
+
+
 def _check_packed_terms(space, degree, cap, monomials, st=None, cp=None):
     # the expected terms packed one by one, as a list: the sorted lists can
     # only agree when packing keeps distinct terms distinct
@@ -369,12 +373,14 @@ def _check_packed_terms(space, degree, cap, monomials, st=None, cp=None):
         assert len(set(terms)) == len(terms)
         want = [a + st.pack(t) for a in _powers_of_two_below(degree) for t in sq_down(a, el)]
         assert sorted(terms) == sorted(want), m
+        # the coproduct side keeps the terms whose left leg is one word to a
+        # power of 2, of degree at most d/2
         terms = cp.terms(m)
         assert len(set(terms)) == len(terms)
         want = [
             l.degree + cp.pack(l) + (cp.pack(r) << cp.right)
             for l, r in reduced_coproduct(el)
-            if 0 < l.degree <= degree // 2
+            if len(l) == 1 and _is_power_of_two(l[0][1]) and 0 < l.degree <= degree // 2
         ]
         assert sorted(terms) == sorted(want), m
 
@@ -452,10 +458,10 @@ def _record_collisions(packing):
     times = packing._times
     packing.collisions = 0
 
-    def recorded(xs, ys, lows):
-        sums = [z for x in xs for y in ys if (z := x + y) & packing.low in lows]
+    def recorded(xs, ys, keys):
+        sums = [z for x in xs for y in ys if (z := x + y) & packing.key in keys]
         packing.collisions += len(set(sums)) < len(sums)
-        return times(xs, ys, lows)
+        return times(xs, ys, keys)
 
     packing._times = recorded
     return packing
@@ -464,7 +470,9 @@ def _record_collisions(packing):
 def test_packed_terms_where_sums_collide():
     # the first degrees at which two Steenrod sums of a product are equal:
     # a product that skipped the parity count would keep a term twice, or
-    # keep one whose coefficient is even
+    # keep one whose coefficient is even.  The whole half coproduct has
+    # equal sums here too, but none whose left leg is 1 or one word power:
+    # a cut that let a left leg of two words through would show them
     st_collisions = cp_collisions = 0
     for degree in range(11, 14):
         st = _record_collisions(_steenrod_packing(P, degree, 2))
@@ -472,7 +480,37 @@ def test_packed_terms_where_sums_collide():
         _check_packed_terms(P, degree, 2, monomial_basis(P, degree, 2), st, cp)
         st_collisions += st.collisions
         cp_collisions += cp.collisions
-    assert st_collisions and cp_collisions
+    assert st_collisions and not cp_collisions
+
+
+@pytest.mark.parametrize(
+    "space", (P, S1, SigmaCPplus(), RealProj(shift=1)), ids=("P", "S1", "SCP", "P^s1")
+)
+@pytest.mark.parametrize("cap", (2, 3))
+def test_coproduct_cut_keys_are_word_powers(space, cap):
+    # every inner key of the coproduct packing is 1 or one word power w^e of
+    # left degree <= d/2, each such power has its key, and the kept keys
+    # are the w^(2^j) among them
+    for degree in range(1, 17):
+        p = _coproduct_packing(space, degree, cap)
+        words = [w for d in range(1, degree // 2 + 1) for w in admissible_words(space, d, cap)]
+        powers = {((w, e),) for w in words for e in range(1, degree // 2 // w.degree + 1)}
+
+        def decode(x):
+            factors = tuple(
+                (w, e)
+                for w, shift in p.fields.items()
+                if (e := x >> shift & ((1 << (degree // w.degree).bit_length()) - 1))
+            )
+            # the low field is the left degree, and no bit lies outside the
+            # low and left fields
+            left = Monomial(factors)
+            assert x == left.degree + p.pack(left) and x & p.key == x, (degree, x)
+            return left
+
+        assert set(map(decode, p.inner)) == {()} | powers, degree
+        kept = {m for m in powers if _is_power_of_two(m[0][1])}
+        assert set(map(decode, p.kept)) == kept, degree
 
 
 def test_packed_fields_hold_the_largest_exponents():
@@ -1013,7 +1051,7 @@ def test_single_use_functions_keep_no_memo_table():
     # each is asked once per monomial or degree; only the root verifier
     # reuses coproducts, and it keeps its own table for the length of a
     # call.  In the sieve, images die with the call that builds them: the
-    # current degree's basis and primitive kernel, read by
+    # current degree's words, basis and primitive kernel, read by
     # primitive_subspace and spherical_candidates, are the only tables.
     # nishida_expansion's one Element-layer caller, _sq_down_mono, already
     # keeps each (a, word)
@@ -1024,9 +1062,10 @@ def test_single_use_functions_keep_no_memo_table():
         for name, obj in vars(qhk.sieve).items()
         if getattr(obj, "__module__", None) == "qhk.sieve" and hasattr(obj, "cache_info")
     }
-    assert memoized == {"monomial_basis", "primitive_kernel"}
+    assert memoized == {"_words_upto", "monomial_basis", "primitive_kernel"}
     assert primitive_kernel.cache_info().maxsize == 1
     assert monomial_basis.cache_info().maxsize == 1
+    assert qhk.sieve._words_upto.cache_info().maxsize == 1
     # a listing's rank and fragment tables are locals of listing_terms and
     # live for one listing: printing keeps no table of its own (the CLI's
     # argument parser is one object), and no module-level container of
