@@ -7,9 +7,10 @@ SIGPIPE) when the reader closes stdout before the output ends, as
 that would enumerate a monomial basis of more than MAX_BASIS_DIM elements
 (`basis`, `annihilated`, `primitives` and `sieve` at --degree, `verify` of
 theorems 2, 3 and root at --max-degree) is refused with exit status 2
-before it starts; the dimension is predicted from the word counts
-(`sieve.basis_dimension`).  Theorem 1 checks words one at a time and
-enumerates no monomial basis, so it is not refused.
+before it enumerates the basis; the dimension is predicted from the word
+counts (`sieve.basis_dimension`), whose own cost grows with the degree.
+Theorem 1 checks words one at a time and enumerates no monomial basis, so
+it is not refused.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import sys
 from array import array
 from json.encoder import encode_basestring_ascii as _json_str
 
-from .cache import load_or_compute
 from .exprs import (
     ExprError,
     element_text,
@@ -108,8 +108,6 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--space", type=_space_arg, required=True)
         p.add_argument("--degree", type=_positive, required=True)
         p.add_argument("--max-length", type=_positive, default=2)
-        if name == "basis":
-            p.add_argument("--cache", metavar="DIR")
 
     p = with_output(sub.add_parser("verify", help="run a structure-theorem verifier"))
     p.add_argument("--theorem", choices=("1", "2", "3", "root"), required=True)
@@ -269,20 +267,11 @@ def _command(argv) -> int:
         if _too_large(args.space, args.degree, args.max_length):
             return 2
         bounds = (args.space, args.degree, args.max_length)
+        basis = monomial_basis(*bounds)
         if args.command == "basis":
-            if not args.cache:
-                basis = monomial_basis(*bounds)
-            else:
-                try:
-                    basis = load_or_compute(args.cache, *bounds)
-                except OSError as err:
-                    msg = f"error: cannot use cache directory {args.cache}: {err.strerror or err}"
-                    print(msg, file=sys.stderr)
-                    return 2
             # one index per row: n one-bit masks of width n would be quadratic
             rows = [(i,) for i in range(len(basis))]
         else:
-            basis = monomial_basis(*bounds)
             kernel = {
                 "annihilated": annihilated_kernel,
                 "primitives": primitive_kernel,

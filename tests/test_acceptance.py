@@ -7,19 +7,19 @@ its stated wall-clock budget.  Nothing here is statistical.
 from __future__ import annotations
 
 import itertools
+import os
 import subprocess
 import sys
 import time
 
 from qhk.adem import adem_pair
 from qhk.algebra import EL_ZERO, el_add, is_primitive
-from qhk.cache import basis_to_bytes, cache_path, load_or_compute
+from qhk.cli import main as cli_main
 from qhk.exprs import element_from_json, element_to_json, format_element, parse_element
 from qhk.mod2 import binom_mod2, lowest_zero_bit
 from qhk.sieve import (
     annihilated_subspace,
     check_curtis_bound,
-    monomial_basis,
     spherical_candidates,
     verify_annihilation,
     verify_root_compatibility,
@@ -172,7 +172,7 @@ def test_criterion_10_suspension_factorization_enumeration():
     _done(10, t0, 600)
 
 
-def test_criterion_11_determinism_and_round_trips(tmp_path):
+def test_criterion_11_determinism_and_round_trips(capsys):
     t0 = time.perf_counter()
     # parse/print identity over computed subspaces
     seen = 0
@@ -188,28 +188,23 @@ def test_criterion_11_determinism_and_round_trips(tmp_path):
             {"factors": [{"ops": [9, 5], "gen": {"space": "S1", "index": 1}, "exp": 1}]}
         ]
     }
-    # cache round trip: bit-identical across two separate processes
-    snippet = (
-        "from qhk.cache import load_or_compute\n"
-        "from qhk.spaces import RealProj\n"
-        "import sys\n"
-        "load_or_compute(sys.argv[1], RealProj(), 7, 2)\n"
-    )
-    dir_a, dir_b = tmp_path / "a", tmp_path / "b"
-    for target in (dir_a, dir_b):
-        proc = subprocess.run(
-            [sys.executable, "-c", snippet, str(target)], capture_output=True, text=True
-        )
-        assert proc.returncode == 0, proc.stderr
-    path_a = cache_path(dir_a, P, 7, 2)
-    path_b = cache_path(dir_b, P, 7, 2)
-    assert path_a.read_bytes() == path_b.read_bytes()
-    # and identical to an in-process recomputation
-    assert path_a.read_bytes() == basis_to_bytes(P, 7, 2, monomial_basis(P, 7, 2))
-    # a second load is a pure read: the file does not change
-    stamp = path_a.read_bytes()
-    assert load_or_compute(dir_a, P, 7, 2) == monomial_basis(P, 7, 2)
-    assert path_a.read_bytes() == stamp
+    # the basis listing: byte-identical across fresh interpreters under two
+    # hash seeds, and to the same command run in this process
+    for space, degree, cap in (("P", 9, 2), ("S1", 12, 3)):
+        argv = ["basis", "--space", space, "--degree", str(degree), "--max-length", str(cap)]
+        argv += ["--format", "json"]
+        outputs = set()
+        for seed in ("0", "4242"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "qhk.cli", *argv],
+                capture_output=True,
+                env={**os.environ, "PYTHONHASHSEED": seed},
+            )
+            assert (proc.returncode, proc.stderr) == (0, b""), proc.stderr
+            outputs.add(proc.stdout)
+        capsys.readouterr()
+        assert cli_main(argv) == 0
+        assert outputs == {capsys.readouterr().out.encode()}, argv
     _done(11, t0, 60)
 
 

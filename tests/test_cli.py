@@ -8,7 +8,6 @@ import sys
 
 import pytest
 
-from qhk.cache import cache_path
 from qhk.cli import MAX_BASIS_DIM, _indented_json, _json_list_dict, _parser, main
 from qhk.exprs import element_to_json, format_element
 from qhk.sieve import (
@@ -151,31 +150,16 @@ def test_bad_space_is_a_usage_error(capsys):
     capsys.readouterr()
 
 
-def test_cache_flag_round_trip(tmp_path, capsys):
-    argv = ["basis", "--space", "P", "--degree", "6", "--cache", str(tmp_path)]
-    code, first, _ = run(capsys, *argv)
-    assert code == 0
-    path = cache_path(tmp_path, RealProj(), 6, 2)
-    assert path.exists()
-    stamp = path.read_bytes()
-    code, second, _ = run(capsys, *argv)
-    assert code == 0
-    assert first == second
-    assert path.read_bytes() == stamp
-
-
-def test_unusable_cache_directory_is_a_usage_error(tmp_path, capsys):
-    # a regular file where the directory should be, and a directory where
-    # the cache file should be
-    not_a_dir = tmp_path / "file"
-    not_a_dir.write_bytes(b"")
-    cache_path(tmp_path, RealProj(), 3, 2).mkdir()
-    for cache in (not_a_dir, tmp_path):
-        argv = ["basis", "--space", "P", "--degree", "3", "--cache", str(cache)]
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, "")
-        assert err.startswith(f"error: cannot use cache directory {cache}: ")
-        assert err.count("\n") == 1
+def test_cache_option_is_gone(tmp_path, capsys):
+    # `basis` takes no cache directory: `--cache DIR` is an unknown
+    # argument, refused before any work and without touching DIR
+    cache = tmp_path / "c"
+    with pytest.raises(SystemExit) as exc:
+        main(["basis", "--space", "P", "--degree", "6", "--cache", str(cache)])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert "error: unrecognized arguments: --cache" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_module_entry_point():

@@ -5,7 +5,9 @@ import hashlib
 import inspect
 import io
 import itertools
+import struct
 import time
+import zlib
 
 import pytest
 
@@ -35,7 +37,6 @@ from qhk.algebra import (
     root,
     suspend,
 )
-from qhk.cache import basis_to_bytes
 from qhk.exprs import format_element, listing_terms, parse_element
 from qhk.sieve import (
     VerifyReport,
@@ -62,6 +63,9 @@ from qhk.sieve import (
     verify_suspension_factorization,
 )
 from qhk.spaces import (
+    REALPROJ,
+    SIGMACP,
+    SPHERE,
     Generator,
     RealProj,
     SigmaCPplus,
@@ -277,13 +281,26 @@ def test_basis_dimension_at_the_frontier():
     assert [basis_dimension(P, d, 3) for d in (24, 26)] == [45905, 95404]
 
 
+def _basis_bytes(space, degree, cap, basis):
+    """A basis as little-endian u32 fields behind a header, with a CRC32
+    trailer: the bytes the pinned digest below was taken over."""
+    kind = {SPHERE: 0, REALPROJ: 1, SIGMACP: 2}[space.kind]
+    out = bytearray(b"QHK1" + struct.pack("<HBII", 1, kind, space.dim, space.shift))
+    out += struct.pack("<III", degree, cap, len(basis))
+    for m in basis:
+        out += struct.pack("<I", len(m))
+        for w, e in m:
+            out += struct.pack(f"<III{len(w.ops)}I", e, w.gen.index, len(w.ops), *w.ops)
+    return bytes(out + struct.pack("<I", zlib.crc32(out)))
+
+
 def test_monomial_basis_enumeration_order_is_pinned():
-    # the cache bytes of every basis over P, S1, SCP and P^s1 at cap 2,
-    # degrees 1-10, as the unpruned enumeration wrote them
+    # every basis over P, S1, SCP and P^s1 at cap 2, degrees 1-10, in the
+    # order the unpruned enumeration listed them
     h = hashlib.sha256()
     for space in (P, S1, SigmaCPplus(), RealProj(shift=1)):
         for degree in range(1, 11):
-            h.update(basis_to_bytes(space, degree, 2, monomial_basis(space, degree, 2)))
+            h.update(_basis_bytes(space, degree, 2, monomial_basis(space, degree, 2)))
     assert h.hexdigest() == "13d9f4a3e8fbb035399626bfe8fcdec7e3defab88bef925c826ff61d1a8868aa"
 
 
