@@ -83,10 +83,11 @@ def _factor_sort_key(factor: tuple[AdmissibleGen, int]) -> tuple:
     return factor[0].sort_key
 
 
-def _monomials(space: Space, degree: int, max_len: int):
+@lru_cache(maxsize=1)
+def monomial_basis(space: Space, degree: int, max_len: int) -> tuple[Monomial, ...]:
     """All products of word powers of exactly this degree (word length
-    capped), one at a time, in a fixed enumeration order: MONO_ONE alone
-    at degree 0, nothing at a negative degree.
+    capped), in a fixed enumeration order, kept for one degree at a time:
+    MONO_ONE alone at degree 0, nothing at a negative degree.
 
     Words ascend in degree.  A monomial is a choice of word powers w^e at
     ascending word positions; after the powers chosen so far, the next
@@ -94,7 +95,7 @@ def _monomials(space: Space, degree: int, max_len: int):
     each word's exponent ascends.  The walk keeps its pending branches on
     an explicit stack, and pushes no branch that no word can finish."""
     if degree < 0:
-        return
+        return ()
     words = _words_upto(space, degree, max_len)
     # fit[r]: how many words have degree <= r, so words[:fit[r]] fit in r
     fit = [0] * (degree + 1)
@@ -104,12 +105,13 @@ def _monomials(space: Space, degree: int, max_len: int):
     # a branch is (next word position, degree left, factors so far); words
     # are pushed ascending and exponents descending, so they pop in the
     # enumeration order
+    out = []
     stack = [(0, degree, ())]
     pop, push = stack.pop, stack.append
     while stack:
         start, left, acc = pop()
         if not left:
-            yield Monomial(sorted(acc, key=_factor_sort_key))
+            out.append(Monomial(sorted(acc, key=_factor_sort_key)))
             continue
         for j in range(start, fit[left]):
             w = words[j]
@@ -118,6 +120,7 @@ def _monomials(space: Space, degree: int, max_len: int):
                 rest = left - e * d
                 if not rest or fit[rest] > j + 1:
                     push((j + 1, rest, acc + ((w, e),)))
+    return tuple(out)
 
 
 @lru_cache(maxsize=1)
@@ -125,13 +128,6 @@ def _words_upto(space: Space, degree: int, max_len: int) -> tuple[AdmissibleGen,
     """The words of degrees 1..degree (length capped), ascending in degree, kept
     for one degree at a time: the basis walk, word fields and dimension share them."""
     return tuple(w for d in range(1, degree + 1) for w in admissible_words(space, d, max_len))
-
-
-@lru_cache(maxsize=1)
-def monomial_basis(space: Space, degree: int, max_len: int) -> tuple[Monomial, ...]:
-    """The monomials of `_monomials`, as a tuple kept for one degree at a
-    time."""
-    return tuple(_monomials(space, degree, max_len))
 
 
 def basis_dimension(space: Space, degree: int, max_len: int) -> int:
@@ -321,32 +317,17 @@ def _elements(basis: tuple[Monomial, ...], masks) -> tuple[Element, ...]:
     return tuple(frozenset(basis[i] for i in bits(mask)) for mask in masks)
 
 
-def annihilated_kernel(space: Space, degree: int, max_len: int) -> tuple[int, ...]:
-    """annihilated_subspace as masks over the basis monomials."""
+def annihilated_kernel(space: Space, degree: int, max_len: int):
+    """annihilated_subspace as masks over the basis monomials, as the lazy
+    _map_kernel over the Steenrod rows: a caller that takes the first k
+    masks images the rows through the k-th one's top bit and no further."""
     basis = monomial_basis(space, degree, max_len)
-    return tuple(_map_kernel(map(_steenrod_packing(space, degree, max_len).terms, basis)))
+    return _map_kernel(map(_steenrod_packing(space, degree, max_len).terms, basis))
 
 
 def annihilated_subspace(space: Space, degree: int, max_len: int) -> tuple[Element, ...]:
     """Basis of the classes killed by every Sq^{2^k}, within the capped span."""
     return _elements(monomial_basis(space, degree, max_len), annihilated_kernel(space, degree, max_len))
-
-
-def _annihilated_prefix(space: Space, degree: int, max_len: int, count: int) -> tuple[list, list[int]]:
-    """The monomials the basis walk reached, and the first `count` masks of
-    annihilated_kernel(space, degree, max_len) over them, or all of them if
-    there are fewer.  Each kernel vector is final when _map_kernel yields
-    it, so the walk and the Steenrod images stop at the row of the last
-    vector taken: the monomials are a prefix of monomial_basis."""
-    basis: list[Monomial] = []
-    packing = _steenrod_packing(space, degree, max_len)
-
-    def rows():
-        for m in _monomials(space, degree, max_len):
-            basis.append(m)
-            yield packing.terms(m)
-
-    return basis, list(islice(_map_kernel(rows()), count))
 
 
 @lru_cache(maxsize=1)
@@ -463,10 +444,10 @@ def verify_suspension_factorization(
     term of each member, which is not linear in the member, so the basis
     alone does not settle it; sums of basis vectors are sampled too.
 
-    The samples are those of sample_members on the whole annihilated
-    basis, as masks, but only its first max_vectors vectors are computed:
-    the walk stops at the max_vectors-th dependent row of each degree.  A
-    member's text is rendered from its rows like a listing's."""
+    The samples are those of sample_members on the first max_vectors
+    masks of annihilated_kernel, so the Steenrod images and the
+    elimination stop at the row of the last one.  A member's text is
+    rendered from its rows like a listing's."""
     t0 = time.perf_counter()
     report = VerifyReport(
         "2",
@@ -475,13 +456,17 @@ def verify_suspension_factorization(
         0,
     )
     for degree in range(1, max_degree + 1):
-        basis, masks = _annihilated_prefix(space, degree, max_len, max_vectors)
+        basis = monomial_basis(space, degree, max_len)
+        masks = list(islice(annihilated_kernel(space, degree, max_len), max_vectors))
+        members = sample_members(masks, max_vectors)
         # suspension is linear and kills decomposables, so a member's image
-        # is the sum of the images of its single words
+        # and strata come from the single words among the monomials it uses
         singles = {
-            i: (m[0][0], suspend(frozenset({m}))) for i, m in enumerate(basis) if m.total_exponent == 1
+            i: (m[0][0], suspend(frozenset({m})))
+            for i in bits(reduce(or_, members, 0))
+            if (m := basis[i]).total_exponent == 1
         }
-        rows = [list(bits(x)) for x in sample_members(masks, max_vectors)]
+        rows = [list(bits(x)) for x in members]
         texts = listing_terms(basis, rows, format_word_power, monomial_text)
         for row, terms in zip(rows, texts):
             report.checked += 1

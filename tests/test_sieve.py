@@ -41,14 +41,12 @@ from qhk.exprs import format_element, listing_terms, parse_element
 from qhk.sieve import (
     VerifyReport,
     _admissible_sequences,
-    _annihilated_prefix,
     bits,
     annihilated_kernel,
     annihilated_subspace,
     check_curtis_bound,
     _coproduct_packing,
     _map_kernel,
-    _monomials,
     _steenrod_packing,
     basis_dimension,
     monomial_basis,
@@ -338,12 +336,27 @@ def _recursive_monomials(space, degree, max_len):
     "space", (P, S1, SigmaCPplus(), RealProj(shift=1)), ids=("P", "S1", "SCP", "P^s1")
 )
 @pytest.mark.parametrize("cap", (1, 2, 3))
-def test_the_lazy_walk_and_the_early_stop(space, cap):
-    assert tuple(_monomials(space, -1, cap)) == ()
-    assert tuple(_monomials(space, 0, cap)) == (MONO_ONE,)
+def test_the_lazy_walk_and_the_early_stop(monkeypatch, space, cap):
+    assert monomial_basis(space, -1, cap) == ()
+    assert monomial_basis(space, 0, cap) == (MONO_ONE,)
+    # count the Steenrod images annihilated_kernel asks for, in order
+    imaged = []
+    original = qhk.sieve._steenrod_packing
+
+    def counting(*bounds):
+        packing = original(*bounds)
+        terms = packing.terms
+
+        def counted(m):
+            imaged.append(m)
+            return terms(m)
+
+        packing.terms = counted
+        return packing
+
+    monkeypatch.setattr(qhk.sieve, "_steenrod_packing", counting)
     for degree in range(-1, 15):
         basis = monomial_basis(space, degree, cap)
-        assert tuple(_monomials(space, degree, cap)) == basis, degree
         assert basis == _recursive_monomials(space, degree, cap), degree
         # each kernel vector is yielded before the row after its own is read
         pulled = []
@@ -356,14 +369,16 @@ def test_the_lazy_walk_and_the_early_stop(space, cap):
 
         for mask in _map_kernel(rows()):
             assert len(pulled) == mask.bit_length(), degree
-        # so theorem 2's prefix walks a prefix of the basis, and its masks
-        # are the head of the whole annihilated kernel
-        whole = annihilated_kernel(space, degree, cap)
-        for k in (1, 5, 64, len(whole), len(whole) + 1):
-            walked, masks = _annihilated_prefix(space, degree, cap, k)
-            assert tuple(walked) == basis[: len(walked)], (degree, k)
-            assert tuple(masks) == whole[:k], (degree, k)
-            assert all(mask.bit_length() <= len(walked) for mask in masks), (degree, k)
+        # so the first k masks of annihilated_kernel image the rows through
+        # the k-th one's top bit, and are the head of the whole kernel
+        whole = tuple(annihilated_kernel(space, degree, cap))
+        n = len(whole)
+        for k in (1, 5, 64, n, n + 1):
+            imaged.clear()
+            masks = tuple(itertools.islice(annihilated_kernel(space, degree, cap), k))
+            assert masks == whole[:k], (degree, k)
+            top = len(basis) if k > n else whole[k - 1].bit_length() if k else 0
+            assert imaged == list(basis[:top]), (degree, k)
 
 
 # -- packed images against the Element layer -----------------------------------
@@ -775,7 +790,7 @@ def _with_vectors(monkeypatch, kernel, added):
             sum(1 << basis.index(m) for m in parse_element(text))
             for text in added.get(degree, ())
         )
-        return original(sp, degree, max_len) + extra
+        return tuple(original(sp, degree, max_len)) + extra
 
     monkeypatch.setattr(qhk.sieve, kernel, patched)
 
