@@ -29,7 +29,7 @@ from .algebra import (
     _tensor_mul,  # unused here; bench/layers.py still times it as a boundary
     apply_q,
     coproduct,
-    el_mul,
+    el_mul,  # unused here; bench/layers.py still times it as a boundary
     el_square,
     indecomposable_part,
     mono_word,
@@ -79,10 +79,6 @@ def _map_kernel(rows):
 
 # -- monomial bases and subspaces ----------------------------------------------
 
-def _factor_sort_key(factor: tuple[AdmissibleGen, int]) -> tuple:
-    return factor[0].sort_key
-
-
 @lru_cache(maxsize=1)
 def monomial_basis(space: Space, degree: int, max_len: int) -> tuple[Monomial, ...]:
     """All products of word powers of exactly this degree (word length
@@ -102,6 +98,11 @@ def monomial_basis(space: Space, degree: int, max_len: int) -> tuple[Monomial, .
     for w in words:
         for r in range(w.degree, degree + 1):
             fit[r] += 1
+    # factors[j][e]: the factor (words[j], e), built once; a monomial sorts
+    # its factors by the rank of their word in word_sort_key order
+    factors = [[None] + [(w, e) for e in range(1, degree // w.degree + 1)] for w in words]
+    order = {w: r for r, w in enumerate(sorted(words, key=word_sort_key))}
+    rank = {f: order[f[0]] for fs in factors for f in fs[1:]}
     # a branch is (next word position, degree left, factors so far); words
     # are pushed ascending and exponents descending, so they pop in the
     # enumeration order
@@ -111,15 +112,15 @@ def monomial_basis(space: Space, degree: int, max_len: int) -> tuple[Monomial, .
     while stack:
         start, left, acc = pop()
         if not left:
-            out.append(Monomial(sorted(acc, key=_factor_sort_key)))
+            out.append(Monomial(sorted(acc, key=rank.__getitem__)))
             continue
         for j in range(start, fit[left]):
-            w = words[j]
-            d = w.degree
+            fs = factors[j]
+            d = words[j].degree
             for e in range(left // d, 0, -1):
                 rest = left - e * d
                 if not rest or fit[rest] > j + 1:
-                    push((j + 1, rest, acc + ((w, e),)))
+                    push((j + 1, rest, acc + (fs[e],)))
     return tuple(out)
 
 
@@ -151,7 +152,8 @@ def basis_dimension(space: Space, degree: int, max_len: int) -> int:
 # basis monomial.  Within one degree that arithmetic runs on packed
 # exponent vectors: a term is one int, so a product of two terms is an add.
 # A monomial's terms are the row that _map_kernel eliminates.
-# The root verifier's Hopf checks use the same word fields (_WordFields).
+# The root verifier's multiplicativity check uses the same word fields
+# (_WordFields).
 
 class _WordFields:
     """One exponent field for each word of degree <= d (length capped), and
@@ -559,10 +561,12 @@ def verify_spherical_form(space: Space, max_degree: int, max_len: int) -> Verify
 
 # -- root and coproduct compatibility --------------------------------------------
 
-def _vanishes_mod2(terms) -> bool:
-    """Whether a sum of packed terms is 0 mod 2: every term occurs an even
-    number of times."""
-    return not any(n & 1 for n in Counter(terms).values())
+def _vanishes_mod2(terms: list[int]) -> bool:
+    """Whether a sum of terms is 0 mod 2: every term occurs an even number
+    of times.  Counting, then scanning the few distinct counts, beats
+    comparing the even and odd slices of the sorted terms by about 20% on
+    the coassociativity triples."""
+    return not any(n & 1 for n in set(Counter(terms).values()))
 
 
 def verify_root_compatibility(
@@ -587,14 +591,18 @@ def verify_root_compatibility(
     - every primitive basis vector of even degree <= primitive_degree has
       an indecomposable part with root 0.
 
-    The two Hopf checks run on packed terms over the word fields of
-    hopf_degree: a tensor term l (x) r is one int [left | right], a triple
-    l1 (x) l2 (x) r one int [l1 | l2 | r], and a product of terms one add.
-    Each basis monomial is packed once, and its Δ comes from the Element
-    layer (`coproduct`), once per monomial, with each leg looked up among
-    the packed monomials; the checks compare those
-    coproducts with products and compositions formed on the packed terms,
-    so the Element-layer coproduct is what they test."""
+    The two Hopf checks run on ints.  The n basis monomials of degree
+    0..hopf_degree are numbered in basis order, and each one's Δ comes from
+    the Element layer (`coproduct`), once, with each leg looked up by its
+    number.  Coassociativity writes a tensor term l (x) r as
+    i(l) n + i(r) and a triple l1 (x) l2 (x) r as (i(l1) n + i(l2)) n +
+    i(r), an int below n^3 (one digit over P at hopf degree 12, where n is
+    986).  Multiplicativity runs on the word fields of hopf_degree: a
+    monomial packs as one int, a tensor term as [left | right], and a
+    product of either is one add, so m1 m2 is packed(m1) + packed(m2).
+    The checks compare the Element-layer coproducts with compositions and
+    products formed on those ints, so the Element-layer coproduct is what
+    they test."""
     t0 = time.perf_counter()
     report = VerifyReport(
         "root",
@@ -609,54 +617,52 @@ def verify_root_compatibility(
         0,
     )
 
-    # every basis monomial up to hopf_degree, packed once, and its packed
-    # coproduct, keyed by the packed monomial; every leg of one is a basis
-    # monomial of no larger degree (the cap is honest), so the tables have
-    # every key asked for below, and they die with this call
+    # each basis monomial's coproduct, once, as pairs i(l) n + i(r) and as
+    # packed terms; every leg is a basis monomial of no larger degree (the
+    # cap is honest), so it has a number, and the tables die with this call
     fields = _WordFields(space, hopf_degree, max_len)
     shift = fields.right
-    lefts = ((fields.low + 1) << shift) - 1  # the low and left fields
     bases = [monomial_basis(space, degree, max_len) for degree in range(hopf_degree + 1)]
-    packed: dict[Monomial, int] = {m: fields.pack(m) for basis in bases for m in basis}
-    delta: dict[int, list[int]] = {
-        x: [packed[l] + (packed[r] << shift) for l, r in coproduct(frozenset({m}))]
-        for m, x in packed.items()
-    }
+    index = {m: i for i, m in enumerate(m for basis in bases for m in basis)}
+    n = len(index)
+    packed = [fields.pack(m) for m in index]
+    pairs: list[list[int]] = []
+    delta: dict[int, list[int]] = {}
+    for m, x in zip(index, packed):
+        legs = [(index[l], index[r]) for l, r in coproduct(frozenset({m}))]
+        pairs.append([a * n + b for a, b in legs])
+        delta[x] = [packed[a] + (packed[b] << shift) for a, b in legs]
 
-    def coassociator(x: int):
-        """The triples of (Δ (x) 1)Δm + (1 (x) Δ)Δm, for m packed as x."""
-        for t in delta[x]:
-            l = t & lefts
-            r = t - l
-            for y in delta[l]:
-                yield y + (r << shift)
-            for y in delta[r >> shift]:
-                yield l + (y << shift)
-
-    # coassociativity on basis monomials
+    # coassociativity on basis monomials: (Δ (x) 1)Δm + (1 (x) Δ)Δm sums
+    # Δa (x) b and a (x) Δb over the terms a (x) b of Δm, as triples
+    # l1 (x) l2 (x) r numbered (i(l1) n + i(l2)) n + i(r), ints below n^3
+    nn = n * n
     for basis in bases[1:]:
         for m in basis:
             report.checked += 1
-            if not _vanishes_mod2(coassociator(packed[m])):
-                report.failures.append(
-                    f"coassociativity fails on {format_element(frozenset({m}))}"
-                )
+            legs = [divmod(t, n) for t in pairs[index[m]]]
+            triples = [y * n + b for a, b in legs for y in pairs[a]]
+            triples += [a * nn + z for a, b in legs for z in pairs[b]]
+            if not _vanishes_mod2(triples):
+                report.failures.append(f"coassociativity fails on {format_element(frozenset({m}))}")
 
-    # multiplicativity on pairs of basis monomials: Δ(m1 m2) + Δm1 Δm2 as a
-    # set of the terms of odd count.  Δ(m1 m2) has distinct terms, and so
-    # has x Δm2 for each x, so toggling each run in is the sum mod 2.  A
-    # product outside the table has no Δ here, so the sum cannot vanish.
+    # multiplicativity on pairs of basis monomials, on packed terms: Δ(m1 m2)
+    # + Δm1 Δm2 as a set of the terms of odd count.  Δ(m1 m2) has distinct
+    # terms, and so has x Δm2 for each x, so toggling each run in is the sum
+    # mod 2.  m1 m2 packs as packed(m1) + packed(m2), and its Δ is in the
+    # table: the product lies in the basis of degree deg m1 + deg m2 <=
+    # hopf_degree, and its exponents fit the fields of that degree
     for d1 in range(1, hopf_degree):
         for d2 in range(d1, hopf_degree - d1 + 1):
+            right = [(m2, x2, delta[x2]) for m2 in bases[d2] for x2 in (packed[index[m2]],)]
             for m1 in bases[d1]:
-                delta1 = delta[packed[m1]]
-                for m2 in bases[d2]:
+                x1 = packed[index[m1]]
+                delta1 = delta[x1]
+                for m2, x2, delta2 in right:
                     report.checked += 1
-                    (product,) = el_mul(frozenset({m1}), frozenset({m2}))
-                    acc = set(delta.get(packed.get(product), ()))
-                    delta2 = delta[packed[m2]]
+                    acc = set(delta[x1 + x2])
                     for x in delta1:
-                        acc.symmetric_difference_update(map(x.__add__, delta2))
+                        acc ^= {x + y for y in delta2}
                     if acc:
                         report.failures.append(
                             f"coproduct is not multiplicative on "

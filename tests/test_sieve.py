@@ -32,6 +32,7 @@ from qhk.algebra import (
     el_square,
     indecomposable_part,
     is_primitive,
+    mono_mul,
     mono_word,
     reduced_coproduct,
     root,
@@ -48,6 +49,8 @@ from qhk.sieve import (
     _coproduct_packing,
     _map_kernel,
     _steenrod_packing,
+    _vanishes_mod2,
+    _WordFields,
     basis_dimension,
     monomial_basis,
     primitive_kernel,
@@ -862,7 +865,7 @@ def unmemoized_coproducts():
     primitive_kernel.cache_clear()
 
 
-def test_verify_root_catches_a_dropped_coproduct_term(monkeypatch, unmemoized_coproducts):
+def _drop_a_coproduct_term(monkeypatch):
     # Δ(Q^3 a1) loses one of its two terms
     target = AdmissibleGen((3,), Generator(P, 1))
 
@@ -871,6 +874,17 @@ def test_verify_root_catches_a_dropped_coproduct_term(monkeypatch, unmemoized_co
         return out - {sorted(out, key=repr)[0]} if w == target else out
 
     monkeypatch.setattr(qhk.algebra, "_coproduct_word", broken)
+
+
+def _take_cubes_to_first_powers(monkeypatch):
+    # Δ(w^3) comes out as Δ(w)
+    monkeypatch.setattr(
+        qhk.algebra, "_tensor_pow", lambda a, e: _tensor_pow(a, 1 if e == 3 else e)
+    )
+
+
+def test_verify_root_catches_a_dropped_coproduct_term(monkeypatch, unmemoized_coproducts):
+    _drop_a_coproduct_term(monkeypatch)
     rep = verify_root_compatibility(P, 2, 8, 6, 8, 6)
     assert rep.checked == 526
     assert rep.failures == [
@@ -883,10 +897,7 @@ def test_verify_root_catches_a_dropped_coproduct_term(monkeypatch, unmemoized_co
 
 
 def test_verify_root_catches_a_wrong_cube(monkeypatch, unmemoized_coproducts):
-    # Δ(w^3) comes out as Δ(w)
-    monkeypatch.setattr(
-        qhk.algebra, "_tensor_pow", lambda a, e: _tensor_pow(a, 1 if e == 3 else e)
-    )
+    _take_cubes_to_first_powers(monkeypatch)
     rep = verify_root_compatibility(P, 2, 8, 6, 8, 6)
     assert rep.checked == 526 and len(rep.failures) == 99
     assert rep.failures[:2] == [
@@ -895,6 +906,55 @@ def test_verify_root_catches_a_wrong_cube(monkeypatch, unmemoized_coproducts):
     ]
     digest = hashlib.sha256("\n".join(rep.failures).encode()).hexdigest()
     assert digest == "8bb907a7eab4cc8db23442d0167eb6fb49bee8f5fd83be3367a482db887f4756"
+
+
+@pytest.mark.parametrize("breakage", [_drop_a_coproduct_term, _take_cubes_to_first_powers])
+def test_root_failures_match_an_element_layer_oracle(monkeypatch, unmemoized_coproducts, breakage):
+    # (Δ (x) 1)Δm + (1 (x) Δ)Δm summed over element triples, one set
+    # toggle per triple: the monomials where it is nonzero are exactly the
+    # ones the verifier's numbered triples report
+    breakage(monkeypatch)
+
+    def delta(m):
+        return qhk.algebra.coproduct(frozenset({m}))
+
+    expected = []
+    for degree in range(1, 9):
+        for m in monomial_basis(P, degree, 2):
+            acc = set()
+            for l, r in delta(m):
+                for l1, l2 in delta(l):
+                    acc ^= {(l1, l2, r)}
+                for r1, r2 in delta(r):
+                    acc ^= {(l, r1, r2)}
+            if acc:
+                expected.append(f"coassociativity fails on {format_element(frozenset({m}))}")
+    rep = verify_root_compatibility(P, 2, 8, 6, 8, 6)
+    assert expected
+    assert [f for f in rep.failures if f.startswith("coassociativity")] == expected
+
+
+def test_vanishes_mod2_on_hand_made_sums():
+    a, b = 5, 3
+    for terms in ([], [a, a], [a, a, a, a], [a, a, b, b], [a, b, b, a]):
+        assert _vanishes_mod2(terms), terms
+    for terms in ([a], [a, a, a], [a, b], [a, a, a, b], [b, a, a, a]):
+        assert not _vanishes_mod2(terms), terms
+
+
+@pytest.mark.parametrize("space", [P, S1, SigmaCPplus()])
+def test_products_of_packed_monomials_are_sums(space):
+    # the multiplicativity check forms m1 m2 as packed(m1) + packed(m2) and
+    # looks its coproduct up by that int: the product is a basis monomial
+    # of the summed degree, and the fields of the top degree never overflow
+    fields = _WordFields(space, 8, 2)
+    bases = [monomial_basis(space, degree, 2) for degree in range(9)]
+    packed = {m: fields.pack(m) for basis in bases for m in basis}
+    for d1 in range(9):
+        for d2 in range(d1, 9 - d1):
+            for m1 in bases[d1]:
+                for m2 in bases[d2]:
+                    assert packed[m1] + packed[m2] == packed[mono_mul(m1, m2)]
 
 
 def _rank(elements) -> int:
