@@ -1,4 +1,7 @@
-"""Command line front end.
+"""Command line front end: the argument parser, the size guard, and the
+head of a listing and the verifier reports, which json.dumps(..., indent=2)
+writes.  Every element's text and JSON come from exprs (format_element,
+element_json, listing_terms).
 
 Exit status: 0 for success (and for a verifier that passes), 1 for a
 verifier that found failures, 2 for usage or input errors, 141 (128 +
@@ -21,17 +24,13 @@ import json
 import os
 import sys
 from array import array
-from json.encoder import encode_basestring_ascii as _json_str
 
 from .exprs import (
     ExprError,
-    element_text,
-    element_to_json,
-    factor_to_json,
+    element_json,
+    element_to_json,  # unused here; bench/layers.py still times it as a boundary
     format_element,
-    format_word_power,
     listing_terms,
-    monomial_text,
     parse_element,
 )
 from .sieve import (
@@ -121,82 +120,14 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _indented_json(obj, indent: str = "\n") -> str:
-    """json.dumps(obj, indent=2), byte for byte, for plain JSON types
-    (dict with string keys, list, tuple, str, int, and the scalars left to
-    json).  With an indent set, json.dumps falls back to CPython's
-    pure-Python encoder; this writer leaves only the scalars to json.  The
-    indent is the newline plus the spaces that start a line at this depth.
-    A dict's str and int values are written in place, without a call each."""
-    kind = type(obj)
-    if kind is dict:
-        if not obj:
-            return "{}"
-        inner = indent + "  "
-        items = []
-        for k, v in obj.items():
-            t = type(v)
-            if t is str:
-                v = _json_str(v)
-            elif t is int:
-                v = repr(v)
-            else:
-                v = _indented_json(v, inner)
-            items.append(f"{_json_str(k)}: {v}")
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if kind is list or kind is tuple:
-        if not obj:
-            return "[]"
-        inner = indent + "  "
-        items = [_indented_json(v, inner) for v in obj]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    if kind is str:
-        return _json_str(obj)
-    if kind is int:
-        return repr(obj)
-    return json.dumps(obj)
-
-
-def _print_element(el, fmt: str) -> None:
-    if fmt == "json":
-        print(_indented_json(element_to_json(el)))
-    else:
-        print(format_element(el))
-
-
-# The indents of a subspace listing's JSON: an element sits at depth 2 of
-# the payload (in "basis"), a monomial at depth 4 (in "terms") and a factor
-# at depth 6 (in "factors").
-_ELEMENT_INDENT, _MONO_INDENT, _FACTOR_INDENT = ("\n" + " " * n for n in (4, 8, 12))
-
-
-def _json_list_dict(key: str, items: list[str], indent: str) -> str:
-    """_indented_json({key: values}, indent), where items are the values
-    already written at the indent of the list's entries."""
-    inner = indent + "  "
-    if not items:
-        return "{" + inner + _json_str(key) + ": []" + indent + "}"
-    entry = inner + "  "
-    body = entry + ("," + entry).join(items)
-    return "{" + inner + _json_str(key) + ": [" + body + inner + "]" + indent + "}"
-
-
-def _factor_fragment(w, e) -> str:
-    return _indented_json(factor_to_json(w, e), _FACTOR_INDENT)
-
-
-def _monomial_fragment(factors: list[str]) -> str:
-    return _json_list_dict("factors", factors, _MONO_INDENT)
-
-
 def _print_subspace(args, basis, rows) -> None:
     """Write a listing one row of basis indices at a time; the bytes are those
-    of printing format_element of each element, or _indented_json of the
-    whole payload with element_to_json of each."""
+    of printing format_element of each element, or json.dumps(..., indent=2)
+    of the whole payload with element_to_json of each."""
     write = sys.stdout.write
     if args.format == "text":
-        for terms in listing_terms(basis, rows, format_word_power, monomial_text):
-            write(element_text(terms) + "\n")
+        for text in listing_terms(basis, rows):
+            write(text + "\n")
         return
     payload = {
         "space": space_name(args.space),
@@ -205,16 +136,17 @@ def _print_subspace(args, basis, rows) -> None:
         "dimension": len(rows),
         "basis": [],
     }
-    text = _indented_json(payload)
+    text = json.dumps(payload, indent=2)
     if not rows:
         write(text + "\n")
         return
-    # the head ends in `"basis": []` and the close; keep its "[" open
+    # the head ends in `"basis": []` and the close; keep its "[" open, and
+    # write each element at depth 2, where the list's entries sit
     write(text[: -len("]\n}")])
-    sep = _ELEMENT_INDENT
-    for terms in listing_terms(basis, rows, _factor_fragment, _monomial_fragment):
-        write(sep + _json_list_dict("terms", terms, _ELEMENT_INDENT))
-        sep = "," + _ELEMENT_INDENT
+    sep = "\n    "
+    for text in listing_terms(basis, rows, json_depth=2):
+        write(sep + text)
+        sep = ",\n    "
     write("\n  ]\n}\n")
 
 
@@ -260,7 +192,9 @@ def _command(argv) -> int:
         except ExprError as err:
             print(f"error: {err}", file=sys.stderr)
             return 2
-        _print_element(el if args.command == "normalize" else sq_down(args.sq, el), args.format)
+        if args.command == "act":
+            el = sq_down(args.sq, el)
+        print(element_json(el) if args.format == "json" else format_element(el))
         return 0
 
     if args.command in ("basis", "annihilated", "primitives", "sieve"):
@@ -295,7 +229,7 @@ def _command(argv) -> int:
             args.theorem, args.space, args.max_degree, args.max_length, args.max_vectors
         )
         if args.format == "json":
-            print(_indented_json(report.to_json()))
+            print(json.dumps(report.to_json(), indent=2))
         else:
             verdict = "PASS" if report.ok else "FAIL"
             print(

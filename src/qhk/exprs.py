@@ -19,6 +19,7 @@ termwise would be fine, but it is almost always a typo).
 
 from __future__ import annotations
 
+import json
 import re
 
 from .algebra import (
@@ -164,6 +165,8 @@ def parse_element(text: str, space: Space | None = None) -> Element:
 
 
 # -- printing -----------------------------------------------------------------
+#
+# Every element's bytes, as text or as JSON, come from listing_terms.
 
 def _mono_key(m: Monomial):
     return (m.degree, tuple((word_sort_key(w), e) for w, e in m))
@@ -179,66 +182,102 @@ def format_word_power(w: AdmissibleGen, e: int) -> str:
     return f"{base}^{e}"
 
 
-def monomial_text(factors: list[str]) -> str:
-    """A monomial as format_element writes it, from its factors' texts."""
-    return "*".join(factors) or "1"
+_TEXT_WRITERS = (
+    format_word_power,
+    lambda factors: "*".join(factors) or "1",
+    lambda terms: " + ".join(terms) or "0",
+)
 
 
-def element_text(terms: list[str]) -> str:
-    """An element as format_element writes it, from its monomials' texts in
-    printing order."""
-    return " + ".join(terms) or "0"
+def _json_list(items: list[str], indent: str) -> str:
+    """A list as json.dumps(..., indent=2) writes it where indent (a newline
+    and the spaces of its depth) starts its line, from its items already
+    written one level deeper."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return "[" + inner + ("," + inner).join(items) + indent + "]"
 
 
-def format_element(el: Element) -> str:
-    return element_text([
-        monomial_text([format_word_power(w, e) for w, e in m])
-        for m in sorted(el, key=_mono_key, reverse=True)
-    ])
+def _json_object(fields: dict[str, str], indent: str) -> str:
+    """A nonempty dict likewise, from its values already written one level
+    deeper; the keys are plain names that JSON writes as they are."""
+    inner = indent + "  "
+    return "{" + inner + ("," + inner).join(f'"{k}": {v}' for k, v in fields.items()) + indent + "}"
 
 
-def listing_terms(basis, rows, render_factor, join_factors):
-    """For each row of a listing in turn, the fragments of its monomials in
-    printing order (by descending _mono_key, as format_element and
-    element_to_json write them).  A row is an element, as the ascending
-    indices of its monomials in the basis.  The indices the rows use are
-    ranked once; each distinct factor (w, e) is rendered once, by
-    render_factor(w, e), and each ranked monomial once, by join_factors of
-    its factors' fragments.  These tables live as long as the generator."""
+def _json_writers(depth: int):
+    """The factor, monomial and element writers of an element's JSON, as
+    json.dumps(..., indent=2) lays it out when the element's object opens
+    `depth` levels deep: its monomials sit two levels deeper (in "terms"),
+    and their factors two more (in "factors").  These are written by
+    concatenation: json.dumps with an indent runs CPython's pure-Python
+    encoder, which made the rendering of sieve-P's JSON listings take twice
+    as long."""
+    element = "\n" + "  " * depth
+    term = element + "    "
+    factor = term + "    "
+    field = factor + "  "
+
+    def write_factor(w: AdmissibleGen, e: int) -> str:
+        ops = _json_list([str(i) for i in w.ops], field)
+        gen = _json_object({"space": json.dumps(space_name(w.gen.space)), "index": str(w.gen.index)}, field)
+        return _json_object({"ops": ops, "gen": gen, "exp": str(e)}, factor)
+
+    def one_list(key: str, indent: str):
+        # a dict whose one field is a list of fragments, as one concatenation
+        head, inner, tail = "{" + indent + f'  "{key}": ', indent + "  ", indent + "}"
+        return lambda items: head + _json_list(items, inner) + tail
+
+    return write_factor, one_list("factors", term), one_list("terms", element)
+
+
+def listing_terms(basis, rows, json_depth: int | None = None):
+    """For each row of a listing in turn, its element's text, or with a
+    json_depth its JSON at that depth (see _json_writers).  A row is an
+    element, as the ascending indices of its monomials in the basis; the
+    monomials print by descending _mono_key.  The indices the rows use are
+    ranked once, each distinct factor (w, e) is written once and each
+    ranked monomial once, from its factors' fragments.  These tables live
+    as long as the generator."""
+    write_factor, write_monomial, write_element = (
+        _TEXT_WRITERS if json_depth is None else _json_writers(json_depth)
+    )
     used = sorted(set().union(*rows), key=lambda i: _mono_key(basis[i]), reverse=True)
     rank = {i: r for r, i in enumerate(used)}
-    rendered: dict = {}
+    written: dict = {}
     fragments = []
     for i in used:
         parts = []
         for we in basis[i]:
-            part = rendered.get(we)
+            part = written.get(we)
             if part is None:
-                part = rendered[we] = render_factor(*we)
+                part = written[we] = write_factor(*we)
             parts.append(part)
-        fragments.append(join_factors(parts))
+        fragments.append(write_monomial(parts))
     for row in rows:
-        yield [fragments[r] for r in sorted(map(rank.__getitem__, row))]
+        yield write_element([fragments[r] for r in sorted(map(rank.__getitem__, row))])
+
+
+def format_element(el: Element) -> str:
+    (text,) = listing_terms(tuple(el), [range(len(el))])
+    return text
 
 
 # -- JSON ---------------------------------------------------------------------
 
-def factor_to_json(w: AdmissibleGen, e: int) -> dict:
-    """One factor w^e of a monomial, as element_to_json writes it."""
-    return {
-        "ops": list(w.ops),
-        "gen": {"space": space_name(w.gen.space), "index": w.gen.index},
-        "exp": e,
-    }
+def element_json(el: Element) -> str:
+    """The element's JSON, as json.dumps(element_to_json(el), indent=2)
+    writes it."""
+    (text,) = listing_terms(tuple(el), [range(len(el))], json_depth=0)
+    return text
 
 
 def element_to_json(el: Element) -> dict:
-    return {
-        "terms": [
-            {"factors": [factor_to_json(w, e) for w, e in m]}
-            for m in sorted(el, key=_mono_key, reverse=True)
-        ]
-    }
+    """{"terms": [{"factors": [{"ops", "gen": {"space", "index"}, "exp"}, ...]}, ...]},
+    the monomials in format_element's order; read back from element_json,
+    so the dict and the printed bytes agree."""
+    return json.loads(element_json(el))
 
 
 def _json_field(obj, key: str, kind: type):

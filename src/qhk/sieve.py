@@ -39,7 +39,7 @@ from .algebra import (
     suspend,
     suspend_gen,
 )
-from .exprs import element_text, format_element, format_word_power, listing_terms, monomial_text
+from .exprs import format_element, listing_terms
 from .mod2 import lowest_zero_bit
 from .spaces import Space, gen_degree, is_gen_A_annihilated, is_suspension_like, space_name
 from .steenrod import element_is_A_annihilated, madsen_action, sq_down, word_is_A_annihilated
@@ -469,12 +469,11 @@ def verify_suspension_factorization(
             if (m := basis[i]).total_exponent == 1
         }
         rows = [list(bits(x)) for x in members]
-        texts = listing_terms(basis, rows, format_word_power, monomial_text)
-        for row, terms in zip(rows, texts):
+        for row, text in zip(rows, listing_terms(basis, rows)):
             report.checked += 1
             words = [singles[i] for i in row if i in singles]
             if not reduce(xor, (image for _, image in words), EL_ZERO):
-                report.excluded.append(f"suspension image zero: {element_text(terms)}")
+                report.excluded.append(f"suspension image zero: {text}")
                 continue
             strata: dict[int, list[AdmissibleGen]] = {}
             for w, _ in words:
@@ -484,7 +483,7 @@ def verify_suspension_factorization(
                 if not _witness_exists(leading):
                     report.failures.append(
                         f"no suspension witness for the length-{length} leading term "
-                        f"{format_element(frozenset({mono_word(leading)}))} of {element_text(terms)}"
+                        f"{format_element(frozenset({mono_word(leading)}))} of {text}"
                     )
     report.millis = int((time.perf_counter() - t0) * 1000)
     return report
@@ -505,7 +504,8 @@ def verify_spherical_form(space: Space, max_degree: int, max_len: int) -> Verify
     allows, so it holds on a whole subspace once it holds on a basis: every
     basis vector is checked, and `checked` counts them.  A kernel vector is
     a mask over the basis, so one AND with the mask of the monomials a claim
-    forbids decides it; offending terms are listed in basis order."""
+    forbids decides it; offending terms are listed in basis order.  A
+    member's text is rendered from its rows like a listing's."""
     t0 = time.perf_counter()
     report = VerifyReport(
         "3", space_name(space), {"max_degree": max_degree, "max_length": max_len}, 0
@@ -526,12 +526,12 @@ def verify_spherical_form(space: Space, max_degree: int, max_len: int) -> Verify
         for mask in annihilated_kernel(space, degree, max_len):
             report.checked += 1
             for i in bits(mask & even_led):
-                (xi,) = _elements(basis, [mask])
+                (text,) = listing_terms(basis, [list(bits(mask))])
                 m = basis[i]
                 w = m[0][0]
                 report.failures.append(
                     f"annihilated member has an even-led term of excess >= 2: "
-                    f"{format_element(frozenset({m}))} in {format_element(xi)}"
+                    f"{format_element(frozenset({m}))} in {text}"
                 )
                 if odd and excess(w.ops, gen_degree(w.gen)) >= 3:
                     report.failures.append(
@@ -542,19 +542,19 @@ def verify_spherical_form(space: Space, max_degree: int, max_len: int) -> Verify
             report.checked += 1
             if not mask & unclean:
                 continue
-            (xi,) = _elements(basis, [mask])
+            (text,) = listing_terms(basis, [list(bits(mask))])
             if not odd:
                 report.failures.append(
                     f"even-degree candidate whose indecomposable part has an "
-                    f"even entry: {format_element(xi)}"
+                    f"even entry: {text}"
                 )
             elif suspension:
                 report.failures.append(
                     f"odd-degree candidate over a suspension is not an all-odd "
-                    f"word sum: {format_element(xi)}"
+                    f"word sum: {text}"
                 )
             else:
-                report.excluded.append(format_element(xi))
+                report.excluded.append(text)
     report.millis = int((time.perf_counter() - t0) * 1000)
     return report
 

@@ -8,9 +8,11 @@ import sys
 
 import pytest
 
-from qhk.cli import MAX_BASIS_DIM, _indented_json, _json_list_dict, _parser, main
+import qhk.cli
+from qhk.cli import MAX_BASIS_DIM, _parser, main
 from qhk.exprs import element_to_json, format_element
 from qhk.sieve import (
+    VerifyReport,
     annihilated_subspace,
     basis_dimension,
     monomial_basis,
@@ -271,19 +273,10 @@ def test_streamed_listings_match_the_whole_payload(capsys, space):
     assert 0 in dims
 
 
-def test_json_list_dict_matches_the_writer():
-    # listings hold no empty element or monomial, but the helper writes
-    # empty lists as the writer does
-    values = [[], [{"a": 1}], [{"a": 1}, {"b": [2, 3]}]]
-    for indent in ("\n", "\n    "):
-        for items in values:
-            rendered = [_indented_json(v, indent + "    ") for v in items]
-            assert _json_list_dict("terms", rendered, indent) == _indented_json({"terms": items}, indent)
-
-
-def test_indented_json_writer_matches_json_dumps(capsys):
-    # real payloads: listings (some of dimension 0), elements (the zero
-    # element too) and verifier reports (with and without failures)
+def test_indented_json_writer_matches_json_dumps(capsys, monkeypatch):
+    # every JSON the CLI prints is json.dumps(..., indent=2) of its payload:
+    # listings (some of dimension 0), elements (the zero element too) and
+    # verifier reports (with and without failures)
     texts = []
     for command in ("basis", "annihilated", "primitives", "sieve"):
         for degree in (1, 3, 5, 6):
@@ -305,23 +298,17 @@ def test_indented_json_writer_matches_json_dumps(capsys):
     assert any(p.get("dimension") == 0 for p in payloads)
     for text, payload in zip(texts, payloads):
         assert text == json.dumps(payload, indent=2) + "\n"
-    report = payloads[-1]
-    payloads += [
-        dict(report, failures=["a \"quoted\" failure", "caf\u00e9 \\ tab\t"], excluded=[]),
-        {}, [], {"a": [], "b": {}, "c": [[]], "d": True, "e": None, "f": -3},
-        # scalars that fall through to json, at the top and as leaves
-        True, False, None, 0.5, -0.0, 1e300, 7, "",
-        {"t": True, "f": False, "n": None, "x": 2.75, "y": [1.0, -1e-9, None]},
-        # tuples are written as lists
-        (), (1, "a", (2, ())), {"pair": (True, None), "nested": [(), ((),)]},
-        # empty containers inside containers, at several depths
-        [[], {}, [[]], [{}], {"a": {}, "b": [], "c": {"d": [[], {}]}}],
-        # strings that json escapes
-        ["\"", "\\", "\x00\x01\x1f\x7f", "\b\f\n\r\t", "/", "caf\u00e9", "\u2603", "\U0001f600"],
-        {"\"key\"": "\\", "\u00e9\n": {"\x00": "\U0001f600"}},
-    ]
-    for payload in payloads:
-        assert _indented_json(payload) == json.dumps(payload, indent=2)
+    # a failing report whose strings json escapes: quotes, a backslash, a
+    # tab and non-ASCII characters, written as \u escapes
+    failures = ['a "quoted" failure', "caf\u00e9 \\ tab\t \u2603 \U0001f600"]
+    report = VerifyReport("3", "P", {"max_degree": 5, "max_length": 2}, 7, failures, ["x"], 3)
+    monkeypatch.setattr(qhk.cli, "run_verifier", lambda *args: report)
+    code, out, _ = run(
+        capsys, "verify", "--theorem", "3", "--space", "P", "--max-degree", "5", "--format", "json"
+    )
+    assert code == 1
+    assert out.isascii() and json.loads(out)["failures"] == failures
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def test_one_parser_serves_every_call(capsys):

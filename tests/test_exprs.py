@@ -20,14 +20,18 @@ from qhk.algebra import (
 )
 from qhk.exprs import (
     ExprError,
+    _json_list,
     element_from_json,
+    element_json,
     element_to_json,
     format_element,
+    format_word_power,
     parse_element,
 )
 from qhk import spaces
-from qhk.spaces import RealProj, Sphere, parse_gen
-from qhk.words import AdmissibleGen, admissible_words
+from qhk.sieve import annihilated_subspace, monomial_basis, primitive_subspace, spherical_candidates
+from qhk.spaces import RealProj, Sphere, parse_gen, parse_space, space_name
+from qhk.words import AdmissibleGen, admissible_words, word_sort_key
 
 a1 = parse_gen("a1")
 a2 = parse_gen("a2")
@@ -146,6 +150,80 @@ def test_json_round_trip():
             }
         ]
     }
+
+
+# Reference oracles: the element writers as they were before every element's
+# bytes came from listing_terms, a sort of the element's monomials and a join
+# of their texts, or a dict built term by term.
+
+def _reference_key(m):
+    return (m.degree, tuple((word_sort_key(w), e) for w, e in m))
+
+
+def _reference_format(el) -> str:
+    return " + ".join(
+        "*".join(format_word_power(w, e) for w, e in m) or "1"
+        for m in sorted(el, key=_reference_key, reverse=True)
+    ) or "0"
+
+
+def _reference_json(el) -> dict:
+    return {
+        "terms": [
+            {
+                "factors": [
+                    {
+                        "ops": list(w.ops),
+                        "gen": {"space": space_name(w.gen.space), "index": w.gen.index},
+                        "exp": e,
+                    }
+                    for w, e in m
+                ]
+            }
+            for m in sorted(el, key=_reference_key, reverse=True)
+        ]
+    }
+
+
+def _check_writers(el):
+    assert format_element(el) == _reference_format(el)
+    assert element_json(el) == json.dumps(_reference_json(el), indent=2)
+    assert element_to_json(el) == _reference_json(el)
+
+
+@pytest.mark.parametrize("space", ["P", "S1", "S2", "SCP", "P^s1", "SCP^s1"])
+def test_element_writers_match_the_reference_oracles(space):
+    sp = parse_space(space)
+    for cap in (2, 3):
+        for degree in range(1, 11):
+            elements = [frozenset({m}) for m in monomial_basis(sp, degree, cap)]
+            for subspace in (annihilated_subspace, primitive_subspace, spherical_candidates):
+                elements += subspace(sp, degree, cap)
+            for el in elements:
+                _check_writers(el)
+
+
+def test_element_writers_on_units_and_mixed_generators():
+    texts = [
+        "0", "1", "1 + a1", "Q^9 Q^5 g1", "a5^s2", "Q^6 c3*c5", "(Q^3 a1)^2*c1^3",
+        "Q^9 Q^5 g1 + a5^s2*c7^s1 + a1^3 + Q^6 c3*c5 + 1",
+    ]
+    for text in texts:
+        el = parse_element(text)
+        _check_writers(el)
+    mixed = parse_element(texts[-1])
+    assert format_element(mixed) == "Q^9 Q^5 g1 + a5^s2*c7^s1 + c5*Q^6 c3 + a1^3 + 1"
+    assert parse_element(format_element(mixed)) == mixed
+
+
+def test_json_list_matches_json_dumps():
+    # listings hold no empty element or monomial, but the helper writes
+    # empty lists as json.dumps does, at the top and two levels deep
+    for depth in (0, 2):
+        indent = "\n" + "  " * depth
+        for items in ([], [{"a": 1}], [{"a": 1}, {"b": [2, 3]}]):
+            written = [json.dumps(v, indent=2).replace("\n", indent + "  ") for v in items]
+            assert _json_list(written, indent) == json.dumps(items, indent=2).replace("\n", indent)
 
 
 def test_json_rejects_bad_generators():
