@@ -12,6 +12,8 @@ next factor.  The unit ``1`` is an atom, so every printed element parses
 back (``a1 + 1``); ``0`` is accepted only as the whole input.  Generator
 tokens look like g3, a5, c7, optionally carrying a suspension suffix
 (a5^s2); the lexer tells ``^s2`` (shift) and ``^2`` (exponent) apart.
+Parentheses nest at most MAX_NESTING deep, and a token is at most
+MAX_TOKEN characters long; a chain of operations may be of any length.
 Parsing evaluates on the spot, so the result is always in basis form; an
 operation applied to an inhomogeneous sum is refused (evaluating it
 termwise would be fine, but it is almost always a typo).
@@ -53,6 +55,9 @@ class ExprError(ValueError):
         self.pos = pos
 
 
+MAX_NESTING = 100
+MAX_TOKEN = 600   # Python converts a number of up to 640 digits, whatever its limit
+
 _TOKEN_RE = re.compile(
     r"(Q\^[0-9]+)|([gac][0-9]+(?:\^s[0-9]+)?)|(\^[0-9]+)|([+*()]|1(?![0-9]))|(\s+)|(.)"
 )
@@ -66,6 +71,8 @@ def _lex(text: str) -> list[tuple[str, str, int]]:
             continue
         if bad is not None:
             raise ExprError(f"unexpected character {bad!r}", m.start())
+        if m.end() - m.start() > MAX_TOKEN:
+            raise ExprError(f"token longer than {MAX_TOKEN} characters", m.start())
         if q is not None:
             out.append(("q", q[2:], m.start()))
         elif gen is not None:
@@ -83,6 +90,7 @@ class _Parser:
         self.space = space
         self.length = length
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         if self.i < len(self.tokens):
@@ -115,19 +123,20 @@ class _Parser:
                 return el
 
     def factor(self) -> Element:
-        kind, value, pos = self.peek()
-        if kind == "q":
-            self.take()
-            operand = self.factor()
-            try:
-                el_degree(operand)
-            except ValueError:
-                raise ExprError("operation applied to an inhomogeneous sum", pos) from None
-            return apply_q(int(value), operand)
+        # a loop, not recursion, so a chain of operations of any length parses
+        ops = []
+        while self.peek()[0] == "q":
+            ops.append(self.take())
         el = self.atom()
         if self.peek()[0] == "exp":
             _, evalue, _ = self.take()
             el = _pow(el, int(evalue), EL_ONE, el_mul, el_square)
+        for _, value, pos in reversed(ops):
+            try:
+                el_degree(el)
+            except ValueError:
+                raise ExprError("operation applied to an inhomogeneous sum", pos) from None
+            el = apply_q(int(value), el)
         return el
 
     def atom(self) -> Element:
@@ -145,7 +154,12 @@ class _Parser:
         if kind == "1":
             return EL_ONE
         if kind == "(":
+            # four stack frames a level: the bound keeps below the recursion limit
+            if self.depth == MAX_NESTING:
+                raise ExprError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+            self.depth += 1
             el = self.expr()
+            self.depth -= 1
             kind2, _, pos2 = self.take()
             if kind2 != ")":
                 raise ExprError("expected ')'", pos2)
@@ -237,14 +251,16 @@ def listing_terms(basis, rows, json_depth: int | None = None):
     json_depth its JSON at that depth (see _json_writers).  A row is an
     element, as the ascending indices of its monomials in the basis; the
     monomials print by descending _mono_key.  The indices the rows use are
-    ranked once, each distinct factor (w, e) is written once and each
-    ranked monomial once, from its factors' fragments.  These tables live
-    as long as the generator."""
+    ranked once, in a list indexed by basis position; each distinct factor
+    (w, e) is written once and each ranked monomial once, from its factors'
+    fragments.  These tables live as long as the generator."""
     write_factor, write_monomial, write_element = (
         _TEXT_WRITERS if json_depth is None else _json_writers(json_depth)
     )
     used = sorted(set().union(*rows), key=lambda i: _mono_key(basis[i]), reverse=True)
-    rank = {i: r for r, i in enumerate(used)}
+    rank = [0] * len(basis)
+    for r, i in enumerate(used):
+        rank[i] = r
     written: dict = {}
     fragments = []
     for i in used:

@@ -20,7 +20,6 @@ roots vanish (cup products die in a suspension).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from weakref import WeakValueDictionary
 
 from .mod2 import binom_mod2
@@ -30,69 +29,68 @@ REALPROJ = "realproj"
 SIGMACP = "sigmacp"
 
 
-# The value types here and in words.py are canonical: each constructor
-# returns the one object that has its fields, so equality is identity and
-# the hash is object's.  A table keeps each object while something else
-# refers to it, and drops it with its last reference: a weak-valued table,
-# one policy for all three.  No reference to a dropped object is left, so
-# the next construction makes the one object again.  A monomial is not
-# interned: it is the tuple of its factors (algebra.py), equal by value.
-
-
 class _Canonical:
-    """The base of the canonical types: a slot for the tables' weak
-    references (dataclass's weakref_slot needs Python 3.11)."""
+    """The base of the value types here and in words.py, which are
+    canonical: Cls(*values) is the one object with those fields, so
+    equality is identity and the hash is object's.  A weak-valued table per
+    class keeps each object while something else refers to it; once the
+    last reference is dropped, the next construction makes it again.  A new
+    object gets its _fields set to the values, then _complete may check
+    them and set derived slots; if that raises, the object is not kept.
+    Fields never change after that, and unpickling or copying constructs
+    again, so it returns the one object.  A monomial is not interned: it is
+    the tuple of its factors (algebra.py), equal by value."""
 
     __slots__ = ("__weakref__",)
 
+    def __init_subclass__(cls) -> None:
+        cls._table = WeakValueDictionary()
 
-_SPACES: WeakValueDictionary[tuple[str, int, int], Space] = WeakValueDictionary()
-_GENERATORS: WeakValueDictionary[tuple[Space, int], Generator] = WeakValueDictionary()
+    def __new__(cls, *values):
+        self = cls._table.get(values)
+        if self is None:
+            self = object.__new__(cls)
+            for name, value in zip(cls._fields, values, strict=True):
+                object.__setattr__(self, name, value)
+            self._complete()
+            cls._table[values] = self
+        return self
+
+    def _complete(self) -> None:
+        pass
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is canonical: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Space(_Canonical):
     """A space, canonical: Space(kind, dim, shift) is the one object with
     those fields."""
 
+    __slots__ = _fields = ("kind", "dim", "shift")
     kind: str
-    dim: int = 0   # sphere bottom dimension, shift included; 0 otherwise
-    shift: int = 0
+    dim: int   # sphere bottom dimension, shift included; 0 otherwise
+    shift: int
 
     def __new__(cls, kind: str, dim: int = 0, shift: int = 0) -> Space:
-        key = (kind, dim, shift)
-        self = _SPACES.get(key)
-        if self is None:
-            self = object.__new__(cls)
-            object.__setattr__(self, "kind", kind)
-            object.__setattr__(self, "dim", dim)
-            object.__setattr__(self, "shift", shift)
-            _SPACES[key] = self
-        return self
-
-    def __reduce__(self):
-        return Space, (self.kind, self.dim, self.shift)
+        return super().__new__(cls, kind, dim, shift)
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Generator(_Canonical):
     """A homology generator of a space, canonical like Space."""
 
+    __slots__ = _fields = ("space", "index")
     space: Space
     index: int
-
-    def __new__(cls, space: Space, index: int) -> Generator:
-        key = (space, index)
-        self = _GENERATORS.get(key)
-        if self is None:
-            self = object.__new__(cls)
-            object.__setattr__(self, "space", space)
-            object.__setattr__(self, "index", index)
-            _GENERATORS[key] = self
-        return self
-
-    def __reduce__(self):
-        return Generator, (self.space, self.index)
 
 
 def Sphere(n: int) -> Space:

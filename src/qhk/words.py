@@ -19,9 +19,7 @@ words of a fixed degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator
-from weakref import WeakValueDictionary
 
 from .spaces import Generator, Space, _Canonical, gen_degree, gen_sort_key, generators
 
@@ -60,10 +58,6 @@ def is_admissible_ops(ops: tuple[int, ...]) -> bool:
     return all(ops[j] <= 2 * ops[j + 1] for j in range(len(ops) - 1))
 
 
-_WORDS: WeakValueDictionary[tuple[tuple[int, ...], Generator], AdmissibleGen] = WeakValueDictionary()
-
-
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class AdmissibleGen(_Canonical):
     """A polynomial-algebra generator Q^I x: I admissible, positive excess.
 
@@ -72,16 +66,15 @@ class AdmissibleGen(_Canonical):
     The first construction checks the word and computes its degree and its
     word_sort_key; an invalid word raises ValueError and is not kept."""
 
+    _fields = ("ops", "gen")
+    __slots__ = _fields + ("degree", "sort_key")
     ops: tuple[int, ...]
     gen: Generator
-    degree: int = field(init=False, repr=False)
-    sort_key: tuple = field(init=False, repr=False)
+    degree: int
+    sort_key: tuple
 
-    def __new__(cls, ops: tuple[int, ...], gen: Generator) -> AdmissibleGen:
-        key = (ops, gen)
-        self = _WORDS.get(key)
-        if self is not None:
-            return self
+    def _complete(self) -> None:
+        ops, gen = self.ops, self.gen
         gen_deg = gen_degree(gen)
         entries = lower_entries(ops, gen_deg)
         if ops:
@@ -89,16 +82,8 @@ class AdmissibleGen(_Canonical):
                 raise ValueError(f"excess {entries[0]} < 1 in Q^{ops} {gen}")
             if any(entries[j] > entries[j + 1] for j in range(len(entries) - 1)):
                 raise ValueError(f"inadmissible word Q^{ops} {gen}")
-        self = object.__new__(cls)
-        object.__setattr__(self, "ops", ops)
-        object.__setattr__(self, "gen", gen)
         object.__setattr__(self, "degree", word_degree(ops, gen_deg))
         object.__setattr__(self, "sort_key", (len(ops), entries, gen_sort_key(gen)))
-        _WORDS[key] = self
-        return self
-
-    def __reduce__(self):
-        return AdmissibleGen, (self.ops, self.gen)
 
     @property
     def lower(self) -> tuple[int, ...]:

@@ -458,25 +458,27 @@ def test_values_are_canonical_on_every_construction_path():
 
     # an invalid word is refused every time, never kept
     a1 = Generator(space, 1)
+    kept = dict(AdmissibleGen._table)
     for ops in ((1,), (5, 2)):  # excess 0; entries (2, 1) decrease
         for _ in range(2):
             with pytest.raises(ValueError):
                 AdmissibleGen(ops, a1)
+    assert dict(AdmissibleGen._table) == kept
 
 
 _LIFETIME_SNIPPET = """
-from qhk import spaces, words
 from qhk.sieve import monomial_basis
-from qhk.spaces import Generator, Sphere
+from qhk.spaces import Generator, Space, Sphere
+from qhk.words import AdmissibleGen
 
 S1 = Sphere(1)
 for d in range(1, 21):
     monomial_basis(S1, d, 3)
 basis = monomial_basis(S1, 20, 3)
-assert set(words._WORDS.values()) == {w for m in basis for w, _ in m}
-assert list(spaces._GENERATORS.values()) == [Generator(S1, 1)]
-assert list(spaces._SPACES.values()) == [S1]
-print(len(words._WORDS))
+assert set(AdmissibleGen._table.values()) == {w for m in basis for w, _ in m}
+assert list(Generator._table.values()) == [Generator(S1, 1)]
+assert list(Space._table.values()) == [S1]
+print(len(AdmissibleGen._table))
 """
 
 

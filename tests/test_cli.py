@@ -145,6 +145,21 @@ def test_bad_expression_is_a_usage_error(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "expr",
+    ["(" * 1000 + "a1" + ")" * 1000, "Q^" + "9" * 5000 + " a1"],
+    ids=("nested", "long-number"),
+)
+def test_boundary_expressions_are_refused_in_one_line(capsys, expr):
+    code, out, err = run(capsys, "normalize", expr)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_a_long_chain_of_operations_normalizes(capsys):
+    assert run(capsys, "normalize", "Q^1 " * 5000 + "a1") == (0, "0\n", "")
+
+
 def test_bad_space_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["basis", "--space", "X5", "--degree", "3"])

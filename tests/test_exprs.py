@@ -19,6 +19,8 @@ from qhk.algebra import (
     normalize,
 )
 from qhk.exprs import (
+    MAX_NESTING,
+    MAX_TOKEN,
     ExprError,
     _json_list,
     element_from_json,
@@ -28,9 +30,8 @@ from qhk.exprs import (
     format_word_power,
     parse_element,
 )
-from qhk import spaces
 from qhk.sieve import annihilated_subspace, monomial_basis, primitive_subspace, spherical_candidates
-from qhk.spaces import RealProj, Sphere, parse_gen, parse_space, space_name
+from qhk.spaces import Generator, RealProj, Sphere, parse_gen, parse_space, space_name
 from qhk.words import AdmissibleGen, admissible_words, word_sort_key
 
 a1 = parse_gen("a1")
@@ -83,6 +84,34 @@ def test_parse_errors_carry_positions():
         parse_element("a0")
     with pytest.raises(ExprError):
         parse_element("Q^2 a1", space=Sphere(1))   # wrong space
+
+
+def test_a_chain_of_operations_of_any_length_parses():
+    # Q^1 a1 = a1^2, and Q^1 kills the square, so the chain is 0
+    chain = "Q^1 " * 5000
+    assert parse_element(chain + "a1") == EL_ZERO
+    with pytest.raises(ExprError) as e:
+        parse_element(chain + "(a1 + a2)")
+    assert e.value.pos == 4 * 4999
+
+
+def test_parentheses_nest_to_a_fixed_depth():
+    deepest = "(" * MAX_NESTING + "a1" + ")" * MAX_NESTING
+    assert parse_element(deepest) == parse_element("a1")
+    for depth in (MAX_NESTING + 1, 1000, 100000):
+        with pytest.raises(ExprError, match="nested deeper") as e:
+            parse_element("Q^1 " + "(" * depth + "a1" + ")" * depth)
+        assert e.value.pos == 4 + MAX_NESTING
+
+
+def test_tokens_are_bounded_below_the_int_digit_limit():
+    # Python may refuse to convert a number of more than 640 digits
+    assert parse_element("a1^" + "0" * (MAX_TOKEN - 2) + "1") == parse_element("a1")
+    digits = "9" * 5000
+    for text, pos in ((f"Q^{digits} a1", 0), (f"a1^{digits}", 2), (f"a1 + a{digits}", 5)):
+        with pytest.raises(ExprError, match="token longer than") as e:
+            parse_element(text)
+        assert e.value.pos == pos
 
 
 def test_space_scoping():
@@ -241,12 +270,12 @@ def test_rejected_generators_leave_no_canonical_objects_behind():
     # the index is checked before a generator is built, so a refused payload
     # adds nothing to the table of generators
     element_from_json({"terms": [{"factors": [_factor([], "S1", 1, 1)]}]})
-    before = len(spaces._GENERATORS)
+    before = len(Generator._table)
     bad = [("S1", i) for i in range(2, 1002)] + [("P", 0), ("P", -3), ("SCP", 4), ("SCP^s2", 6)]
     for name, index in bad:
         with pytest.raises(ValueError, match="no generator"):
             element_from_json({"terms": [{"factors": [_factor([], name, index, 1)]}]})
-    assert len(spaces._GENERATORS) == before
+    assert len(Generator._table) == before
 
 
 def test_the_unit_is_an_atom():

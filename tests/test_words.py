@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 import time
 
 import pytest
@@ -175,8 +177,38 @@ def test_cached_degree_key_and_hash_match_fresh_values():
     assert seen > 150
 
 
-def test_words_are_frozen_and_slotted():
-    w = AdmissibleGen((3,), g1)
-    with pytest.raises(AttributeError):
-        w.degree = 5
-    assert not hasattr(w, "__dict__")
+def _canonical_values():
+    w = AdmissibleGen((6, 3), parse_gen("a1^s1"))
+    return w.gen.space, w.gen, w
+
+
+def test_canonical_values_are_frozen_and_slotted():
+    for value in _canonical_values():
+        for name in type(value).__slots__ + ("other",):
+            with pytest.raises(AttributeError):
+                setattr(value, name, 5)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert not hasattr(value, "__dict__")
+    space, gen, w = _canonical_values()
+    assert (space.shift, gen.index, w.ops, w.degree) == (1, 1, (6, 3), 11)
+
+
+def test_canonical_reprs_name_their_fields():
+    space, gen, w = _canonical_values()
+    assert repr(space) == "Space(kind='realproj', dim=0, shift=1)"
+    assert repr(gen) == "Generator(space=Space(kind='realproj', dim=0, shift=1), index=1)"
+    assert repr(w) == (
+        "AdmissibleGen(ops=(6, 3), gen=Generator(space=Space(kind='realproj', dim=0, shift=1), index=1))"
+    )
+    assert repr(AdmissibleGen((), g1)) == (
+        "AdmissibleGen(ops=(), gen=Generator(space=Space(kind='sphere', dim=1, shift=0), index=1))"
+    )
+
+
+def test_pickling_and_copying_return_the_canonical_object():
+    for value in _canonical_values():
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(value, protocol)) is value
+        assert copy.copy(value) is value
+        assert copy.deepcopy(value) is value
