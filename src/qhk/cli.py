@@ -48,7 +48,8 @@ from .steenrod import sq_down
 
 # The largest monomial basis a command enumerates.  Over P it admits
 # degree 26 at caps 2 and 3 (95105 and 95404 monomials) and refuses degree
-# 27; theorem 3 over P peaks at 115 MB at degree 22 (21678), 991 MB at 26, cap 3.
+# 27.  The Steenrod side sets the peak: theorem 3 over P reaches 614 MB at
+# degree 26, cap 3, where the primitive listing alone takes 56 MB.
 MAX_BASIS_DIM = 100_000
 
 

@@ -32,6 +32,7 @@ from .algebra import (
     el_mul,  # unused here; bench/layers.py still times it as a boundary
     el_square,
     indecomposable_part,
+    mono_from_pairs,
     mono_word,
     normalize,
     reduced_coproduct,  # unused here; bench/layers.py still times it as a boundary
@@ -42,7 +43,13 @@ from .algebra import (
 from .exprs import format_element, listing_terms
 from .mod2 import lowest_zero_bit
 from .spaces import Space, gen_degree, is_gen_A_annihilated, is_suspension_like, space_name
-from .steenrod import element_is_A_annihilated, madsen_action, sq_down, word_is_A_annihilated
+from .steenrod import (
+    element_is_A_annihilated,
+    madsen_action,
+    mono_height,
+    sq_down,
+    word_is_A_annihilated,
+)
 from .words import AdmissibleGen, admissible_words, excess, word_sort_key
 
 
@@ -148,12 +155,12 @@ def basis_dimension(space: Space, degree: int, max_len: int) -> int:
 
 # -- packed images -------------------------------------------------------------
 #
-# Both image passes multiply, factor by factor, the images of the words of a
-# basis monomial.  Within one degree that arithmetic runs on packed
-# exponent vectors: a term is one int, so a product of two terms is an add.
-# A monomial's terms are the row that _map_kernel eliminates.
-# The root verifier's multiplicativity check uses the same word fields
-# (_WordFields).
+# The Steenrod images, and the coproducts that the primitive lift reads,
+# multiply factor by factor the images of the words of a basis monomial.
+# Within one degree that arithmetic runs on packed exponent vectors: a term
+# is one int, so a product of two terms is an add (_times).  A monomial's
+# Steenrod terms are the row that _map_kernel eliminates.  The root
+# verifier's multiplicativity check uses the same word fields (_WordFields).
 
 class _WordFields:
     """One exponent field for each word of degree <= d (length capped), and
@@ -190,50 +197,52 @@ class _WordFields:
         return x
 
 
-class _DegreePacking(_WordFields):
-    """The images of the basis monomials of degree d, on the word fields of
-    degree d.  The low field of a term holds its Steenrod index, or the
-    left degree of a tensor term; the right exponents are empty for the
-    Steenrod action.  Every term met is a term of some product of degree
-    <= d, so the fields never overflow.  Squaring a term doubles its int
-    (Frobenius is additive mod 2).
-
-    `word_terms(p, w)` gives the terms of one word's image as ints packed
-    on p; the packing only multiplies them.  `cut(p)` gives a mask `key`
-    and two frozensets of its values, `kept` within `inner`.  Products drop
-    every term whose key is not in `inner`, which is sound because the
-    packing picks a key that no later product brings back into `inner`.  A
-    monomial's image keeps the terms whose key lies in `kept`; its last
-    product drops the others as it forms them.  The state lives as long as
-    one image call."""
-
-    def __init__(self, space: Space, degree: int, max_len: int, word_terms, cut) -> None:
-        super().__init__(space, degree, max_len)
-        self.key, self.inner, self.kept = cut(self)
-        self._word_terms = word_terms
-        self._powers: dict[tuple[AdmissibleGen, int], list[int]] = {}
-
-    def _times(self, xs: list[int], ys: list[int], keys: frozenset[int]) -> list[int]:
-        """The product of two term lists, keeping the terms whose key lies
-        in `keys`."""
-        key = self.key
+def _times(xs: list[int], ys: list[int], key: int = 0, keys: frozenset[int] | None = None) -> list[int]:
+    """The product of two lists of packed terms, keeping the sums whose key
+    (`z & key`) lies in `keys`, or every sum without `keys`."""
+    if keys is None:
+        zs = [x + y for x in xs for y in ys]
+    else:
         zs = [z for x in xs for y in ys if (z := x + y) & key in keys]
-        if len(set(zs)) == len(zs):
-            # no two sums are equal, so every coefficient is 1
-            return zs
-        return [z for z, n in Counter(zs).items() if n & 1]
+    if len(set(zs)) == len(zs):
+        # no two sums are equal, so every coefficient is 1
+        return zs
+    return [z for z, n in Counter(zs).items() if n & 1]
+
+
+class _DegreePacking(_WordFields):
+    """The Steenrod images of the basis monomials of degree d, on the word
+    fields of degree d, with a term's Steenrod index in the low field and
+    empty right exponents.  Every term met is a term of some product of
+    degree <= d, so the fields never overflow.  Squaring a term doubles its
+    int (Frobenius is additive mod 2).
+
+    The total image is multiplicative (Cartan), so a monomial's is the
+    product of its factors' images, cut at the largest 2^k below d, `top`:
+    products drop every term of index above `top`, which no later product
+    brings back (indices only grow), and a monomial's image keeps the terms
+    of index 2^k.  The state lives as long as one image call."""
+
+    def __init__(self, space: Space, degree: int, max_len: int) -> None:
+        super().__init__(space, degree, max_len)
+        self.top = 1 << (degree - 1).bit_length() >> 1
+        self.inner = frozenset(range(self.top + 1))
+        self.kept = frozenset(1 << k for k in range(self.top.bit_length()))
+        self._powers: dict[tuple[AdmissibleGen, int], list[int]] = {}
 
     def _power(self, w: AdmissibleGen, e: int) -> list[int]:
         terms = self._powers.get((w, e))
         if terms is None:
-            key, inner = self.key, self.inner
+            low, inner = self.low, self.inner
             if e == 1:
-                terms = [x for x in self._word_terms(self, w) if x & key in inner]
+                el = frozenset({mono_word(w)})
+                indices = range(min(self.top, w.degree) + 1)
+                terms = [a + self.pack(t) for a in indices for t in sq_down(a, el)]
             else:
                 # the terms of (w^h)^2 are those of w^h, doubled
-                terms = [x for h in self._power(w, e >> 1) if (x := h << 1) & key in inner]
+                terms = [x for h in self._power(w, e >> 1) if (x := h << 1) & low in inner]
                 if e & 1:
-                    terms = self._times(terms, self._power(w, 1), inner)
+                    terms = _times(terms, self._power(w, 1), low, inner)
             self._powers[w, e] = terms
         return terms
 
@@ -241,63 +250,17 @@ class _DegreePacking(_WordFields):
         """The kept terms of a monomial's image, the product over its
         factors."""
         if not m:
-            # the image of 1 is its one term of key 0, never kept
+            # the image of 1 is its one term of index 0, never kept
             return []
         w, e = m[0]
         out = self._power(w, e)
         if len(m) == 1:
-            key, kept = self.key, self.kept
-            return [x for x in out if x & key in kept]
+            low, kept = self.low, self.kept
+            return [x for x in out if x & low in kept]
         for w, e in m[1:-1]:
-            out = self._times(out, self._power(w, e), self.inner)
+            out = _times(out, self._power(w, e), self.low, self.inner)
         w, e = m[-1]
-        return self._times(out, self._power(w, e), self.kept)
-
-
-def _steenrod_packing(space: Space, degree: int, max_len: int) -> _DegreePacking:
-    """The total Steenrod image is multiplicative (Cartan), so a monomial's
-    is the product of its factors' images, cut at the largest 2^k below the
-    degree; the terms of index 2^k are kept.  The key is the low field:
-    indices only grow under products."""
-    top = 1 << (degree - 1).bit_length() >> 1
-
-    def word_terms(p: _DegreePacking, w: AdmissibleGen):
-        el = frozenset({mono_word(w)})
-        return (a + p.pack(t) for a in range(min(top, w.degree) + 1) for t in sq_down(a, el))
-
-    def cut(p: _DegreePacking):
-        return p.low, frozenset(range(top + 1)), frozenset(1 << k for k in range(top.bit_length()))
-
-    return _DegreePacking(space, degree, max_len, word_terms, cut)
-
-
-def _coproduct_packing(space: Space, degree: int, max_len: int) -> _DegreePacking:
-    """The terms l (x) r of the reduced coproduct with l = w^(2^j), one word
-    to a power of 2, and 0 < deg l <= degree // 2.  They decide primitivity:
-    the least left degree of a nonzero reduced coproduct is <= d/2
-    (cocommutativity), its left legs there are primitive (coassociativity),
-    and a nonzero primitive has a term w^(2^j) (Milnor-Moore).  The key is
-    the low and left fields, and `inner` holds 1 and the w^e of left degree
-    <= d/2: a product's left leg gathers its factors' words and exponents,
-    so one with two words or too large a degree never comes back."""
-
-    def word_terms(p: _DegreePacking, w: AdmissibleGen):
-        # the whole Δ: its unit terms carry the word to either side of a
-        # product
-        el = frozenset({mono_word(w)})
-        return (l.degree + p.pack(l) + (p.pack(r) << p.right) for l, r in coproduct(el))
-
-    def cut(p: _DegreePacking):
-        # w^e packs as e deg w in the low field plus e in the field at s
-        powers = {
-            e * (w.degree + (1 << s)): e
-            for w, s in p.fields.items()
-            for e in range(1, degree // 2 // w.degree + 1)
-        }
-        kept = frozenset(x for x, e in powers.items() if not e & (e - 1))
-        return ((p.low + 1) << p.right) - 1, frozenset([0, *powers]), kept
-
-    return _DegreePacking(space, degree, max_len, word_terms, cut)
+        return _times(out, self._power(w, e), self.low, self.kept)
 
 
 def bits(mask: int):
@@ -324,7 +287,7 @@ def annihilated_kernel(space: Space, degree: int, max_len: int):
     _map_kernel over the Steenrod rows: a caller that takes the first k
     masks images the rows through the k-th one's top bit and no further."""
     basis = monomial_basis(space, degree, max_len)
-    return _map_kernel(map(_steenrod_packing(space, degree, max_len).terms, basis))
+    return _map_kernel(map(_DegreePacking(space, degree, max_len).terms, basis))
 
 
 def annihilated_subspace(space: Space, degree: int, max_len: int) -> tuple[Element, ...]:
@@ -332,13 +295,195 @@ def annihilated_subspace(space: Space, degree: int, max_len: int) -> tuple[Eleme
     return _elements(monomial_basis(space, degree, max_len), annihilated_kernel(space, degree, max_len))
 
 
+def _splits(y: int):
+    """The submasks of y other than 0 and y, descending.  On a monomial
+    packed as y they are the left legs of its reduced shuffle coproduct:
+    (w (x) 1 + 1 (x) w)^e has the term w^j (x) w^(e-j) exactly when j's bits
+    lie in e's (Lucas), and each field holds one exponent."""
+    k = (y - 1) & y
+    while k:
+        yield k
+        k = (k - 1) & y
+
+
 @lru_cache(maxsize=1)
 def primitive_kernel(space: Space, degree: int, max_len: int) -> tuple[int, ...]:
-    """The primitive basis as masks over the basis monomials, kept for one
-    degree at a time: the primitive and the sieve listings of one degree
-    share it.  The coproduct images die with the call."""
+    """The primitive basis as masks over the basis monomials, in reduced
+    echelon form: ascending by top bit, and no mask has a bit on another's
+    top bit.  Kept for one degree at a time, since the primitive and the
+    sieve listings of one degree share it.
+
+    It lifts the pure 2-powers; no coproduct row is eliminated.  The weight
+    of a monomial is mono_height, sum e 2^(word length), and a term l (x) r
+    weighs wt(l) + wt(r).
+
+    - Weight triangularity.  In Δ of a word of length L, every term but
+      w (x) 1 and 1 (x) w has two legs of weight 2^L each, so every term of
+      Δ'm weighs at least wt(m), and the terms of weight wt(m) form the
+      shuffle coproduct Δ'_0 m, that of the polynomial algebra on the words
+      taken primitive.
+    - The shuffle kernel.  The kernel of Δ'_0 is spanned by the pure
+      2-powers w^(2^k).  So a primitive x with no pure 2-power term is 0:
+      Δ'_0 of its lowest-weight part is the lowest-weight part of Δ'x.
+    - The linear read-off.  Let t be a sum of terms of one weight.  A term
+      w (x) r, with w one word to the first power and the first word of odd
+      exponent in w r, lies in Δ'_0 of the monomial w r alone, and of no
+      square; so t + Δ'_0 of the monomials so read off has only square (x)
+      square terms when t is a shuffle coproduct.  Those are rooted, read
+      off and squared back.  What is left over, the obstruction, is linear
+      in t, and is 0 exactly when t is Δ'_0 of what was read off.  No
+      read-off monomial is a pure 2-power.
+    - The stages.  One candidate starts at each pure 2-power of the
+      degree.  At the lowest weight h at which some candidate's Δ' starts,
+      _map_kernel eliminates the obstructions of those candidates.  Each
+      combination with no obstruction adds what it read off, which cancels
+      its Δ' at weight h, and goes on; a candidate whose Δ' is 0 is a
+      primitive.  They are all of them: if x is primitive and c is the
+      combination of candidates with x's pure 2-powers, then x + c has none,
+      so Δ'c = Δ'(x + c) starts with a shuffle coproduct, c's part of weight
+      h has no obstruction, and c goes on.  The primitives found have
+      independent pure 2-power parts, so the last step only puts them in
+      echelon form.
+
+    Terms are packed on the word fields of the degree, with a weight field
+    above the right exponents: each exponent of w on either side carries
+    2^len(w) of weight, so min(terms) has the lowest weight.  A monomial's Δ
+    is the product of its factors' word coproducts, each 2^i-th power a
+    shift by i.  A corrupt coproduct raises ValueError: a term lighter than
+    its monomial, a read-off that is not a basis monomial, or one whose Δ'
+    at its own weight is not its shuffle coproduct, which would leave terms
+    of weight h behind and repeat the stage forever."""
     basis = monomial_basis(space, degree, max_len)
-    return tuple(_map_kernel(map(_coproduct_packing(space, degree, max_len).terms, basis)))
+    if degree < 1:
+        return (1,) if basis else ()
+    fields = _WordFields(space, degree, max_len)
+    pack, shift = fields.pack, fields.right
+    wt = degree.bit_length() + 2 * shift
+    body = (1 << wt) - 1
+    left = (1 << wt - shift) - 1
+    odd = sum(1 << s for s in fields.fields.values())
+    even = odd | odd << shift | 1 << wt
+    index = {pack(m): i for i, m in enumerate(basis)}
+    # an exponent of w on the left, and on the right, with its weight
+    lunit = {w: (1 << s) + (1 << len(w.ops) + wt) for w, s in fields.fields.items()}
+    runit = {w: (1 << s + shift) + (1 << len(w.ops) + wt) for w, s in fields.fields.items()}
+    words: dict[AdmissibleGen, list[int]] = {}
+    deltas: dict[int, set[int]] = {}
+
+    def text(y: int) -> str:
+        widths = {w: (1 << (degree // w.degree).bit_length()) - 1 for w in fields.fields}
+        pairs = ((w, y >> s & widths[w]) for w, s in fields.fields.items())
+        return format_element(frozenset({mono_from_pairs(pairs)}))
+
+    def reduced(y: int) -> set[int]:
+        """Δ' of the basis monomial packed as y."""
+        if y not in deltas:
+            if y not in index:
+                raise ValueError(
+                    f"read off {text(y)}, which is not a basis monomial of degree {degree}"
+                )
+            m = basis[index[y]]
+            for w, _ in m:
+                if w not in words:
+                    try:
+                        words[w] = [
+                            sum(e * lunit[v] for v, e in l) + sum(e * runit[v] for v, e in r)
+                            for l, r in coproduct(frozenset({mono_word(w)}))
+                        ]
+                    except KeyError:
+                        raise ValueError(
+                            f"the coproduct of {text(pack(mono_word(w)))} leaves the words "
+                            f"of degree <= {degree}"
+                        ) from None
+            weight = mono_height(m) << wt
+            # w^e is the product of the w^(2^i) for the bits i of e
+            powers = (
+                [x << i for x in words[w]] for w, e in m for i in range(e.bit_length()) if e >> i & 1
+            )
+            out = set(reduce(_times, powers))
+            out ^= {weight + y, weight + (y << shift)}
+            if out and min(out) < weight:
+                raise ValueError(f"the reduced coproduct of {text(y)} has a term lighter than it")
+            deltas[y] = out
+        return deltas[y]
+
+    def read_off(t: set[int]) -> tuple[list[int], set[int]]:
+        """The monomials read off terms t of one weight, and the obstruction."""
+        h = next(iter(t)) >> wt << wt
+        ys = []
+        for x in t:
+            b = x & body
+            l = b & left
+            # with the right leg moved onto the left fields, y is l r
+            y = l + ((b ^ l) >> shift)
+            o = y & odd
+            if o and l == o & -o:
+                ys.append(y)
+        rest = t.symmetric_difference(h + k + ((y ^ k) << shift) for y in ys for k in _splits(y))
+        obstruction = {x for x in rest if x & even}
+        if len(obstruction) < len(rest):
+            roots, deeper = read_off({x >> 1 for x in rest if not x & even})
+            ys += [y << 1 for y in roots]
+            obstruction |= deeper
+        return ys, obstruction
+
+    # a live candidate is (its lightest Δ' term, itself, its Δ')
+    live, done = [], []
+    for w, s in fields.fields.items():
+        e = degree // w.degree
+        if e * w.degree == degree and not e & (e - 1):
+            delta = reduced(e << s)
+            if delta:
+                live.append((min(delta), {e << s}, delta))
+            else:
+                done.append({e << s})
+    while live:
+        h = min(low for low, _, _ in live) >> wt
+        bound = h + 1 << wt
+        stage = [c for c in live if c[0] < bound]
+        live = [c for c in live if c[0] >= bound]
+        lifts = [read_off({x for x in delta if x < bound}) for _, _, delta in stage]
+        for trk in _map_kernel(obstruction for _, obstruction in lifts):
+            elem, delta, ys = set(), set(), set()
+            for i in bits(trk):
+                elem ^= stage[i][1]
+                delta ^= stage[i][2]
+                ys.symmetric_difference_update(lifts[i][0])
+            elem ^= ys
+            for y in ys:
+                delta ^= reduced(y)
+            if not delta:
+                done.append(elem)
+            elif (low := min(delta)) >= bound:
+                live.append((low, elem, delta))
+            else:
+                # some read-off's Δ' at weight h is not its shuffle coproduct
+                y = next(
+                    y for y in ys
+                    if {x for x in reduced(y) if x < bound}
+                    != {(h << wt) + k + ((y ^ k) << shift) for k in _splits(y)}
+                )
+                raise ValueError(
+                    f"the reduced coproduct of {text(y)} is not its shuffle coproduct at its weight"
+                )
+
+    # echelon form: pivot on the top bit, then clear each pivot from the
+    # vectors above it
+    pivots: dict[int, int] = {}
+    for elem in done:
+        v = sum(1 << index[y] for y in elem)
+        while v and (top := v.bit_length() - 1) in pivots:
+            v ^= pivots[top]
+        if v:
+            pivots[top] = v
+    out: list[int] = []
+    for top in sorted(pivots):
+        v = pivots[top]
+        for u in out:
+            if v >> u.bit_length() - 1 & 1:
+                v ^= u
+        out.append(v)
+    return tuple(out)
 
 
 def primitive_subspace(space: Space, degree: int, max_len: int) -> tuple[Element, ...]:
@@ -356,7 +501,7 @@ def candidate_kernel(space: Space, degree: int, max_len: int) -> tuple[int, ...]
     top bit, the vector that eliminating the stacked images would give."""
     basis = monomial_basis(space, degree, max_len)
     prims = primitive_kernel(space, degree, max_len)
-    packing = _steenrod_packing(space, degree, max_len)
+    packing = _DegreePacking(space, degree, max_len)
     images = {i: set(packing.terms(basis[i])) for i in bits(reduce(or_, prims, 0))}
     trackers = list(_map_kernel([_combine(images, p) for p in prims]))
     return tuple(_combine(prims, t) for t in trackers)

@@ -8,6 +8,7 @@ import itertools
 import struct
 import time
 import zlib
+from functools import reduce
 
 import pytest
 
@@ -19,6 +20,7 @@ from qhk.algebra import (
     EL_ONE,
     EL_ZERO,
     MONO_ONE,
+    TENSOR_ONE,
     Monomial,
     _coproduct_mono,
     _coproduct_word,
@@ -46,9 +48,8 @@ from qhk.sieve import (
     annihilated_kernel,
     annihilated_subspace,
     check_curtis_bound,
-    _coproduct_packing,
+    _DegreePacking,
     _map_kernel,
-    _steenrod_packing,
     _vanishes_mod2,
     _WordFields,
     basis_dimension,
@@ -75,7 +76,7 @@ from qhk.spaces import (
     is_suspension_like,
     space_name,
 )
-from qhk.steenrod import element_is_A_annihilated, nishida_expansion, sq_down
+from qhk.steenrod import element_is_A_annihilated, mono_height, nishida_expansion, sq_down
 from qhk.words import AdmissibleGen, admissible_words, excess, is_admissible_ops, word_sort_key
 
 P = RealProj()
@@ -177,9 +178,10 @@ def test_map_kernel_ignores_column_numbering():
         for nrows, ncols in ((1, 1), (6, 3), (12, 12), (30, 20), (40, 64))
         for _ in range(10)
     ]
-    # the sieve's own rows, whose kernels are long and dense
-    cases.append(_terms_rows(_coproduct_packing(P, 9, 2), monomial_basis(P, 9, 2)))
-    cases.append(_terms_rows(_steenrod_packing(S1, 12, 3), monomial_basis(S1, 12, 3)))
+    # the sieve's own rows, whose kernels are long and dense: the reduced
+    # coproducts of the Element layer and the packed Steenrod images
+    cases.append(_coproduct_rows(P, 9, 2))
+    cases.append(_terms_rows(_DegreePacking(S1, 12, 3), monomial_basis(S1, 12, 3)))
     for rows in cases:
         keys = sorted({x for row in rows for x in row})
         want = list(_map_kernel(rows))
@@ -215,10 +217,11 @@ def test_map_kernel_matches_the_dense_eliminator():
     cases = [(P, 2, degree) for degree in range(9, 14)] + [(S1, 3, 12)]
     for space, cap, degree in cases:
         basis = monomial_basis(space, degree, cap)
-        for packing in (_steenrod_packing, _coproduct_packing):
-            rows = _terms_rows(packing(space, degree, cap), basis)
+        # the packed Steenrod rows, and the Element layer's reduced coproducts
+        steenrod = _terms_rows(_DegreePacking(space, degree, cap), basis)
+        for name, rows in (("steenrod", steenrod), ("coproduct", _coproduct_rows(space, degree, cap))):
             assert list(_map_kernel(rows)) == _dense_kernel(_first_seen_masks(rows)), (
-                space, degree, packing.__name__,
+                space, degree, name,
             )
 
 
@@ -344,7 +347,7 @@ def test_the_lazy_walk_and_the_early_stop(monkeypatch, space, cap):
     assert monomial_basis(space, 0, cap) == (MONO_ONE,)
     # count the Steenrod images annihilated_kernel asks for, in order
     imaged = []
-    original = qhk.sieve._steenrod_packing
+    original = qhk.sieve._DegreePacking
 
     def counting(*bounds):
         packing = original(*bounds)
@@ -357,7 +360,7 @@ def test_the_lazy_walk_and_the_early_stop(monkeypatch, space, cap):
         packing.terms = counted
         return packing
 
-    monkeypatch.setattr(qhk.sieve, "_steenrod_packing", counting)
+    monkeypatch.setattr(qhk.sieve, "_DegreePacking", counting)
     for degree in range(-1, 15):
         basis = monomial_basis(space, degree, cap)
         assert basis == _recursive_monomials(space, degree, cap), degree
@@ -365,7 +368,7 @@ def test_the_lazy_walk_and_the_early_stop(monkeypatch, space, cap):
         pulled = []
 
         def rows():
-            packing = _steenrod_packing(space, degree, cap)
+            packing = _DegreePacking(space, degree, cap)
             for i, m in enumerate(basis):
                 pulled.append(i)
                 yield packing.terms(m)
@@ -393,50 +396,43 @@ def _powers_of_two_below(degree):
         a *= 2
 
 
-def _is_power_of_two(e):
-    return e > 0 and not e & (e - 1)
-
-
-def _check_packed_terms(space, degree, cap, monomials, st=None, cp=None):
+def _check_packed_terms(space, degree, cap, monomials):
     # the expected terms packed one by one, as a list: the sorted lists can
     # only agree when packing keeps distinct terms distinct
-    st = st or _steenrod_packing(space, degree, cap)
-    cp = cp or _coproduct_packing(space, degree, cap)
+    st = _DegreePacking(space, degree, cap)
     for m in monomials:
         el = frozenset({m})
         terms = st.terms(m)
         assert len(set(terms)) == len(terms)
         want = [a + st.pack(t) for a in _powers_of_two_below(degree) for t in sq_down(a, el)]
         assert sorted(terms) == sorted(want), m
-        # the coproduct side keeps the terms whose left leg is one word to a
-        # power of 2, of degree at most d/2
-        terms = cp.terms(m)
-        assert len(set(terms)) == len(terms)
-        want = [
-            l.degree + cp.pack(l) + (cp.pack(r) << cp.right)
-            for l, r in reduced_coproduct(el)
-            if len(l) == 1 and _is_power_of_two(l[0][1]) and 0 < l.degree <= degree // 2
-        ]
-        assert sorted(terms) == sorted(want), m
+
+
+def _coproduct_rows(space, degree, cap):
+    """The reduced coproduct of each basis monomial, computed term by term
+    in the Element layer, as rows of column numbers handed out in order of
+    first appearance."""
+    columns: dict = {}
+    return [
+        [columns.setdefault(pair, len(columns)) for pair in reduced_coproduct(frozenset({m}))]
+        for m in monomial_basis(space, degree, cap)
+    ]
 
 
 def _element_images(space, degree, cap):
     """The Steenrod and reduced-coproduct images of each basis monomial,
     computed term by term in the Element layer, as rows of column numbers
     handed out in order of first appearance."""
-    st_cols: dict = {}
-    cp_cols: dict = {}
-    st, cp = [], []
-    for m in monomial_basis(space, degree, cap):
-        st.append([
-            st_cols.setdefault((a, t), len(st_cols))
+    columns: dict = {}
+    st = [
+        [
+            columns.setdefault((a, t), len(columns))
             for a in _powers_of_two_below(degree)
             for t in sq_down(a, frozenset({m}))
-        ])
-        cp.append([
-            cp_cols.setdefault(pair, len(cp_cols)) for pair in reduced_coproduct(frozenset({m}))
-        ])
-    return st, cp
+        ]
+        for m in monomial_basis(space, degree, cap)
+    ]
+    return st, _coproduct_rows(space, degree, cap)
 
 
 def _stacked(st, cp):
@@ -479,78 +475,35 @@ def test_candidates_match_the_stacked_elimination(space, cap, degrees):
     # basis; one elimination of the stacked packed images gives the same basis
     for degree in degrees:
         basis = monomial_basis(space, degree, cap)
-        st = _terms_rows(_steenrod_packing(space, degree, cap), basis)
-        cp = _terms_rows(_coproduct_packing(space, degree, cap), basis)
+        st = _terms_rows(_DegreePacking(space, degree, cap), basis)
+        cp = _coproduct_rows(space, degree, cap)
         stacked = _map_kernel(_stacked(st, cp))
         assert spherical_candidates(space, degree, cap) == _elements(
             space, degree, cap, stacked
         ), degree
 
 
-def _record_collisions(packing):
-    """Count, on the packing, the products in which two sums are equal, so
-    that the parity count decides their terms."""
-    times = packing._times
-    packing.collisions = 0
-
-    def recorded(xs, ys, keys):
-        sums = [z for x in xs for y in ys if (z := x + y) & packing.key in keys]
-        packing.collisions += len(set(sums)) < len(sums)
-        return times(xs, ys, keys)
-
-    packing._times = recorded
-    return packing
-
-
-def test_packed_terms_where_sums_collide():
+def test_packed_terms_where_sums_collide(monkeypatch):
     # the first degrees at which two Steenrod sums of a product are equal:
     # a product that skipped the parity count would keep a term twice, or
-    # keep one whose coefficient is even.  The whole half coproduct has
-    # equal sums here too, but none whose left leg is 1 or one word power:
-    # a cut that let a left leg of two words through would show them
-    st_collisions = cp_collisions = 0
+    # keep one whose coefficient is even
+    times = qhk.sieve._times
+    collisions = []
+
+    def recorded(xs, ys, key=0, keys=None):
+        sums = [z for x in xs for y in ys if (z := x + y) & key in keys]
+        collisions.append(len(set(sums)) < len(sums))
+        return times(xs, ys, key, keys)
+
+    monkeypatch.setattr(qhk.sieve, "_times", recorded)
     for degree in range(11, 14):
-        st = _record_collisions(_steenrod_packing(P, degree, 2))
-        cp = _record_collisions(_coproduct_packing(P, degree, 2))
-        _check_packed_terms(P, degree, 2, monomial_basis(P, degree, 2), st, cp)
-        st_collisions += st.collisions
-        cp_collisions += cp.collisions
-    assert st_collisions and not cp_collisions
-
-
-@pytest.mark.parametrize(
-    "space", (P, S1, SigmaCPplus(), RealProj(shift=1)), ids=("P", "S1", "SCP", "P^s1")
-)
-@pytest.mark.parametrize("cap", (2, 3))
-def test_coproduct_cut_keys_are_word_powers(space, cap):
-    # every inner key of the coproduct packing is 1 or one word power w^e of
-    # left degree <= d/2, each such power has its key, and the kept keys
-    # are the w^(2^j) among them
-    for degree in range(1, 17):
-        p = _coproduct_packing(space, degree, cap)
-        words = [w for d in range(1, degree // 2 + 1) for w in admissible_words(space, d, cap)]
-        powers = {((w, e),) for w in words for e in range(1, degree // 2 // w.degree + 1)}
-
-        def decode(x):
-            factors = tuple(
-                (w, e)
-                for w, shift in p.fields.items()
-                if (e := x >> shift & ((1 << (degree // w.degree).bit_length()) - 1))
-            )
-            # the low field is the left degree, and no bit lies outside the
-            # low and left fields
-            left = Monomial(factors)
-            assert x == left.degree + p.pack(left) and x & p.key == x, (degree, x)
-            return left
-
-        assert set(map(decode, p.inner)) == {()} | powers, degree
-        kept = {m for m in powers if _is_power_of_two(m[0][1])}
-        assert set(map(decode, p.kept)) == kept, degree
+        _check_packed_terms(P, degree, 2, monomial_basis(P, degree, 2))
+    assert any(collisions)
 
 
 def test_packed_fields_hold_the_largest_exponents():
-    # a1^d has the widest exponent field of its degree, and its Steenrod and
-    # coproduct images have the most terms of low word degree
+    # a1^d has the widest exponent field of its degree, and its Steenrod
+    # image has the most terms of low word degree
     a1 = monomial_basis(P, 1, 2)[0][0][0]
     for degree in range(1, 21):
         _check_packed_terms(P, degree, 2, [mono_word(a1, degree)])
@@ -886,7 +839,10 @@ def _take_cubes_to_first_powers(monkeypatch):
 def test_verify_root_catches_a_dropped_coproduct_term(monkeypatch, unmemoized_coproducts):
     _drop_a_coproduct_term(monkeypatch)
     rep = verify_root_compatibility(P, 2, 8, 6, 8, 6)
-    assert rep.checked == 526
+    # one primitive fewer than with the true coproduct: Δ'(Q^3 a1) keeps a
+    # unit term, which no combination of pure 2-powers cancels, so the
+    # primitive check at degree 4 sees a1^4 alone
+    assert rep.checked == 525
     assert rep.failures == [
         f"coassociativity fails on {m}"
         for m in (
@@ -1077,26 +1033,107 @@ def test_indecomposable_parts_of_primitives_are_the_kernel_of_the_root(space, ca
         (SigmaCPplus(), 2, 14),
         (RealProj(shift=1), 2, 13),
         (Sphere(2), 2, 14),
-    ],
+    ]
+    # the short ranges above come first; these run every space to degree
+    # 16 at caps 2 and 3, and P at cap 3 to degree 20
+    + [(space, cap, 16) for space in SPACES for cap in (2, 3) if (space, cap) not in ((P, 3), (S1, 3))]
+    + [(P, 3, 20)],
 )
 def test_pure_power_left_legs_give_the_primitive_kernel(space, cap, top):
     # x of degree d is primitive exactly when its reduced coproduct has no
     # term l (x) r with deg l <= d/2 and l = w^(2^j), one word to a power of
     # 2 (least nonzero left degree, coassociativity, then Milnor-Moore).
     # _map_kernel's output depends only on the kernel, so eliminating those
-    # terms alone must give the primitive kernel's masks exactly
+    # terms of the Element layer's coproducts must give the masks of the
+    # lift exactly.  Δm is the product of its factors' coproduct powers; a
+    # left leg only gathers words, so a partial product drops every term
+    # whose left leg is neither 1 nor one word power of degree <= d/2
     for d in range(1, top + 1):
+        legs = {MONO_ONE} | {
+            mono_word(w, e)
+            for k in range(1, d // 2 + 1)
+            for w in admissible_words(space, k, cap)
+            for e in range(1, d // 2 // k + 1)
+        }
+
+        def times(a, b):
+            # the product's terms whose left leg is 1 or one word power
+            out: set = set()
+            for la, ra in a:
+                for lb, rb in b:
+                    if not la or not lb or la[0][0] is lb[0][0]:
+                        out ^= {(mono_mul(la, lb), mono_mul(ra, rb))}
+            return frozenset(t for t in out if t[0] in legs)
+
+        powers: dict = {}
         columns: dict = {}
         rows = []
         for m in monomial_basis(space, d, cap):
-            row = []
-            for l, r in reduced_coproduct(frozenset({m})):
-                if l.degree <= d // 2 and len(l) == 1:
-                    e = l[0][1]
-                    if e & (e - 1) == 0:
-                        row.append(columns.setdefault((l, r), len(columns)))
-            rows.append(row)
+            for w, e in m:
+                if (w, e) not in powers:
+                    powers[w, e] = times(_tensor_pow(_coproduct_word(w), e), TENSOR_ONE)
+            terms = reduce(times, (powers[f] for f in m))
+            rows.append([
+                columns.setdefault((l, r), len(columns))
+                for l, r in terms
+                if len(l) == 1 and not l[0][1] & (l[0][1] - 1)
+            ])
         assert list(_map_kernel(rows)) == list(primitive_kernel(space, d, cap)), d
+
+
+@pytest.mark.parametrize("space", SPACES, ids=space_name)
+def test_coproduct_terms_weigh_at_least_their_monomial(space):
+    # the premise of the lift: every term l (x) r of Δ'm weighs at least m
+    # (mono_height), with equality exactly on the shuffle terms, l r = m
+    for d in range(1, 15):
+        for m in monomial_basis(space, d, 3):
+            h = mono_height(m)
+            for l, r in reduced_coproduct(frozenset({m})):
+                weight = mono_height(l) + mono_height(r)
+                assert weight >= h, (m, l, r)
+                assert (weight == h) == (mono_mul(l, r) == m), (m, l, r)
+
+
+def _plant_a_coproduct_term(monkeypatch, word, term):
+    def planted(w):
+        out = _coproduct_word(w)
+        return out ^ {term} if w == word else out
+
+    monkeypatch.setattr(qhk.algebra, "_coproduct_word", planted)
+
+
+def test_the_lift_refuses_a_light_coproduct_term(monkeypatch, unmemoized_coproducts):
+    # Q^4 Q^2 a1 weighs 4, and a1 (x) a6 weighs 2
+    w = AdmissibleGen((4, 2), Generator(P, 1))
+    a1, a6 = (mono_word(AdmissibleGen((), Generator(P, n))) for n in (1, 6))
+    _plant_a_coproduct_term(monkeypatch, w, (a1, a6))
+    message = r"^the reduced coproduct of Q\^4 Q\^2 a1 has a term lighter than it$"
+    with pytest.raises(ValueError, match=message):
+        primitive_kernel(P, 7, 2)
+
+
+def test_the_lift_refuses_a_coproduct_leg_outside_the_word_fields(monkeypatch, unmemoized_coproducts):
+    # a5 has no field at degree 4: a ValueError, not the KeyError of pack
+    w = AdmissibleGen((3,), Generator(P, 1))
+    a1, a5 = (mono_word(AdmissibleGen((), Generator(P, n))) for n in (1, 5))
+    _plant_a_coproduct_term(monkeypatch, w, (a1, a5))
+    with pytest.raises(ValueError, match=r"^the coproduct of Q\^3 a1 leaves the words of degree <= 4$"):
+        primitive_kernel(P, 4, 2)
+
+
+def test_the_lift_refuses_a_coproduct_that_is_not_shuffle_at_its_weight(
+    monkeypatch, unmemoized_coproducts
+):
+    # with Δ(Q^3 a1) short of a unit term, the stage at weight 4 of degree 7
+    # reads off Q^2 a1*Q^3 a1, whose Δ' there is not its shuffle coproduct,
+    # so its correction leaves terms of weight 4 behind; without the check
+    # the stage would repeat forever.  Below degree 7 no correction meets
+    # Q^3 a1, and the lift finishes
+    _drop_a_coproduct_term(monkeypatch)
+    assert [len(primitive_kernel(P, d, 2)) for d in range(1, 7)] == [1, 1, 2, 1, 3, 3]
+    message = r"^the reduced coproduct of Q\^2 a1\*Q\^3 a1 is not its shuffle coproduct at its weight$"
+    with pytest.raises(ValueError, match=message):
+        primitive_kernel(P, 7, 2)
 
 
 def test_newton_primitives_lie_in_the_primitive_kernel():
