@@ -313,7 +313,8 @@ def primitive_kernel(space: Space, degree: int, max_len: int) -> tuple[int, ...]
     top bit.  Kept for one degree at a time, since the primitive and the
     sieve listings of one degree share it.
 
-    It lifts the pure 2-powers; no coproduct row is eliminated.  The weight
+    It lifts the pure 2-powers, and eliminates the Δ' rows of only the
+    monomials the lift images, not those of the whole basis.  The weight
     of a monomial is mono_height, sum e 2^(word length), and a term l (x) r
     weighs wt(l) + wt(r).
 
@@ -337,13 +338,17 @@ def primitive_kernel(space: Space, degree: int, max_len: int) -> tuple[int, ...]
       degree.  At the lowest weight h at which some candidate's Δ' starts,
       _map_kernel eliminates the obstructions of those candidates.  Each
       combination with no obstruction adds what it read off, which cancels
-      its Δ' at weight h, and goes on; a candidate whose Δ' is 0 is a
-      primitive.  They are all of them: if x is primitive and c is the
-      combination of candidates with x's pure 2-powers, then x + c has none,
-      so Δ'c = Δ'(x + c) starts with a shuffle coproduct, c's part of weight
-      h has no obstruction, and c goes on.  The primitives found have
-      independent pure 2-power parts, so the last step only puts them in
-      echelon form.
+      its Δ' at weight h, and goes on until its Δ' is 0.
+    - The finish.  Every primitive x lies in the span of the monomials the
+      stages imaged, the pure 2-powers and the read-offs.  Let c be the
+      combination of candidates with x's pure 2-powers: x + c has none, so
+      Δ'c = Δ'(x + c) starts with a shuffle coproduct, c's part of weight h
+      has no obstruction, and c goes on until it is primitive; then x + c
+      is a primitive with no pure 2-power, so x = c.  So the kernel of Δ'
+      on that span, which _map_kernel finds over those Δ' rows in basis
+      order, is the primitive space, in reduced echelon form (see
+      candidate_kernel).  Elimination proves every mask primitive; only
+      completeness rests on the lift.
 
     Terms are packed on the word fields of the degree, with a weight field
     above the right exponents: each exponent of w on either side carries
@@ -427,35 +432,29 @@ def primitive_kernel(space: Space, degree: int, max_len: int) -> tuple[int, ...]
             obstruction |= deeper
         return ys, obstruction
 
-    # a live candidate is (its lightest Δ' term, itself, its Δ')
-    live, done = [], []
+    # a live candidate is (its lightest Δ' term, its Δ'); a Δ' of 0 is dropped
+    live = []
     for w, s in fields.fields.items():
         e = degree // w.degree
-        if e * w.degree == degree and not e & (e - 1):
-            delta = reduced(e << s)
-            if delta:
-                live.append((min(delta), {e << s}, delta))
-            else:
-                done.append({e << s})
+        if e * w.degree == degree and not e & (e - 1) and (delta := reduced(e << s)):
+            live.append((min(delta), delta))
     while live:
-        h = min(low for low, _, _ in live) >> wt
+        h = min(low for low, _ in live) >> wt
         bound = h + 1 << wt
         stage = [c for c in live if c[0] < bound]
         live = [c for c in live if c[0] >= bound]
-        lifts = [read_off({x for x in delta if x < bound}) for _, _, delta in stage]
+        lifts = [read_off({x for x in delta if x < bound}) for _, delta in stage]
         for trk in _map_kernel(obstruction for _, obstruction in lifts):
-            elem, delta, ys = set(), set(), set()
+            delta, ys = set(), set()
             for i in bits(trk):
-                elem ^= stage[i][1]
-                delta ^= stage[i][2]
+                delta ^= stage[i][1]
                 ys.symmetric_difference_update(lifts[i][0])
-            elem ^= ys
             for y in ys:
                 delta ^= reduced(y)
             if not delta:
-                done.append(elem)
-            elif (low := min(delta)) >= bound:
-                live.append((low, elem, delta))
+                continue
+            if (low := min(delta)) >= bound:
+                live.append((low, delta))
             else:
                 # some read-off's Δ' at weight h is not its shuffle coproduct
                 y = next(
@@ -467,23 +466,11 @@ def primitive_kernel(space: Space, degree: int, max_len: int) -> tuple[int, ...]
                     f"the reduced coproduct of {text(y)} is not its shuffle coproduct at its weight"
                 )
 
-    # echelon form: pivot on the top bit, then clear each pivot from the
-    # vectors above it
-    pivots: dict[int, int] = {}
-    for elem in done:
-        v = sum(1 << index[y] for y in elem)
-        while v and (top := v.bit_length() - 1) in pivots:
-            v ^= pivots[top]
-        if v:
-            pivots[top] = v
-    out: list[int] = []
-    for top in sorted(pivots):
-        v = pivots[top]
-        for u in out:
-            if v >> u.bit_length() - 1 & 1:
-                v ^= u
-        out.append(v)
-    return tuple(out)
+    # the kernel of Δ' on the span of every monomial imaged, rows ascending
+    # by basis position
+    imaged = sorted(deltas, key=index.__getitem__)
+    kernel = _map_kernel(deltas[y] for y in imaged)
+    return tuple(sum(1 << index[imaged[j]] for j in bits(trk)) for trk in kernel)
 
 
 def primitive_subspace(space: Space, degree: int, max_len: int) -> tuple[Element, ...]:
@@ -495,7 +482,8 @@ def candidate_kernel(space: Space, degree: int, max_len: int) -> tuple[int, ...]
     spherical class must be among, and the kernel of the Steenrod map on the
     primitives.  For each dependent row i, ascending, _map_kernel gives the
     unique kernel vector with top bit i and no bit on another dependent row.
-    The primitive basis p_1, ..., p_k has that form, so the tracker of a
+    The primitive basis p_1, ..., p_k comes from _map_kernel too, over the
+    Δ' rows in basis order, so it has that form: the tracker of a
     dependent restricted row j sums p_j and p_l of independent rows l < j:
     a candidate with the top bit of p_j and no bit on another candidate's
     top bit, the vector that eliminating the stacked images would give."""
@@ -734,7 +722,9 @@ def verify_root_compatibility(
     - on every admissible word with operations of degree <= word_degree,
       the root halves an even leading operation and kills an odd one;
     - every primitive basis vector of even degree <= primitive_degree has
-      an indecomposable part with root 0.
+      an indecomposable part with root 0.  Where primitive_kernel refuses
+      a corrupt coproduct (ValueError), that degree adds one failure with
+      the refusal's message and no case.
 
     The two Hopf checks run on ints.  The n basis monomials of degree
     0..hopf_degree are numbered in basis order, and each one's Δ comes from
@@ -846,9 +836,14 @@ def verify_root_compatibility(
                     f"{format_element(frozenset({mono_word(w)}))}"
                 )
 
-    # primitives have rootless indecomposable part
+    # primitives have rootless indecomposable part; a refused lift is a failure
     for degree in range(2, primitive_degree + 1, 2):
-        for xi in primitive_subspace(space, degree, max_len):
+        try:
+            prims = primitive_subspace(space, degree, max_len)
+        except ValueError as err:
+            report.failures.append(f"the primitive lift refuses degree {degree}: {err}")
+            continue
+        for xi in prims:
             report.checked += 1
             if root(indecomposable_part(xi)) != EL_ZERO:
                 report.failures.append(

@@ -836,6 +836,16 @@ def _take_cubes_to_first_powers(monkeypatch):
     )
 
 
+# the coassociativity failures of the root verifier under _drop_a_coproduct_term
+_DROPPED_TERM_FAILURES = [
+    f"coassociativity fails on {m}"
+    for m in (
+        "Q^4 a2", "Q^5 a2", "a1*Q^4 a2", "Q^6 a2",
+        "Q^5 a3", "a2*Q^4 a2", "a1*Q^5 a2", "a1^2*Q^4 a2",
+    )
+]
+
+
 def test_verify_root_catches_a_dropped_coproduct_term(monkeypatch, unmemoized_coproducts):
     _drop_a_coproduct_term(monkeypatch)
     rep = verify_root_compatibility(P, 2, 8, 6, 8, 6)
@@ -843,12 +853,20 @@ def test_verify_root_catches_a_dropped_coproduct_term(monkeypatch, unmemoized_co
     # unit term, which no combination of pure 2-powers cancels, so the
     # primitive check at degree 4 sees a1^4 alone
     assert rep.checked == 525
-    assert rep.failures == [
-        f"coassociativity fails on {m}"
-        for m in (
-            "Q^4 a2", "Q^5 a2", "a1*Q^4 a2", "Q^6 a2",
-            "Q^5 a3", "a2*Q^4 a2", "a1*Q^5 a2", "a1^2*Q^4 a2",
-        )
+    assert rep.failures == _DROPPED_TERM_FAILURES
+
+
+def test_verify_root_reports_a_refused_lift(monkeypatch, unmemoized_coproducts):
+    # at degree 8 the lift refuses the broken coproduct (see
+    # test_the_lift_refuses_a_coproduct_that_is_not_shuffle_at_its_weight):
+    # that degree is one failure, and the coassociativity failures and the
+    # cases of the other degrees stay in the report
+    _drop_a_coproduct_term(monkeypatch)
+    rep = verify_root_compatibility(P, 2, 8, 6, 8, 8)
+    assert rep.checked == 525
+    assert rep.failures == _DROPPED_TERM_FAILURES + [
+        "the primitive lift refuses degree 8: the reduced coproduct of a2^2*Q^3 a1 "
+        "is not its shuffle coproduct at its weight"
     ]
 
 
@@ -953,6 +971,22 @@ def test_milnor_moore_squares_and_roots(space, cap, top):
             terms = reduced_coproduct(el_square(frozenset({m})))
             images.append([columns.setdefault(t, len(columns)) for t in terms])
         assert len(list(_map_kernel(images))) == len(prims), d
+
+
+@pytest.mark.parametrize("space", SPACES, ids=space_name)
+@pytest.mark.parametrize("cap", (2, 3))
+def test_squares_carry_each_kernel_to_twice_its_degree(space, cap):
+    # squaring is additive and injective mod 2, and commutes with Δ, Δ(x^2)
+    # = (Δx)^2, and with the dual Steenrod action, Sq^(2k)(x^2) = (Sq^k x)^2
+    # and Sq^odd(x^2) = 0.  So the squares of each basis of degree d stay
+    # independent and lie in the same subspace of degree 2d: an oracle that
+    # ties the packed images and the lift of two degrees to el_square
+    for d in range(1, 9):
+        for subspace in (annihilated_subspace, primitive_subspace, spherical_candidates):
+            squares = tuple(el_square(x) for x in subspace(space, d, cap))
+            target = subspace(space, 2 * d, cap)
+            assert _rank(squares) == len(squares), (subspace.__name__, d)
+            assert _rank(target + squares) == len(target), (subspace.__name__, d)
 
 
 @pytest.mark.parametrize(
