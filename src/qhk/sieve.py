@@ -32,7 +32,6 @@ from .algebra import (
     el_mul,  # unused here; bench/layers.py still times it as a boundary
     el_square,
     indecomposable_part,
-    mono_from_pairs,
     mono_word,
     normalize,
     reduced_coproduct,  # unused here; bench/layers.py still times it as a boundary
@@ -318,11 +317,16 @@ def primitive_kernel(space: Space, degree: int, max_len: int) -> tuple[int, ...]
     of a monomial is mono_height, sum e 2^(word length), and a term l (x) r
     weighs wt(l) + wt(r).
 
-    - Weight triangularity.  In Δ of a word of length L, every term but
-      w (x) 1 and 1 (x) w has two legs of weight 2^L each, so every term of
-      Δ'm weighs at least wt(m), and the terms of weight wt(m) form the
-      shuffle coproduct Δ'_0 m, that of the polynomial algebra on the words
-      taken primitive.
+    - The premise, weight triangularity.  For each word w the lift reads,
+      the legs of every term of Δw are monomials in the words with a field
+      of the degree, and their degrees add up to deg w; no term weighs less
+      than wt(w) = 2^len(w); and those of weight wt(w) are exactly w (x) 1
+      and 1 (x) w.  Where Δw is packed, once per call, this is checked, and
+      a word that fails raises ValueError.  Weight and degree are additive,
+      and a 2^i-th power doubles both, so no term of Δ'm is lighter than m,
+      those of weight wt(m) form the shuffle coproduct Δ'_0 m (that of the
+      polynomial algebra on the words taken primitive), and every read-off
+      below is a degree-d monomial in the capped words, a basis monomial.
     - The shuffle kernel.  The kernel of Δ'_0 is spanned by the pure
       2-powers w^(2^k).  So a primitive x with no pure 2-power term is 0:
       Δ'_0 of its lowest-weight part is the lowest-weight part of Δ'x.
@@ -338,7 +342,8 @@ def primitive_kernel(space: Space, degree: int, max_len: int) -> tuple[int, ...]
       degree.  At the lowest weight h at which some candidate's Δ' starts,
       _map_kernel eliminates the obstructions of those candidates.  Each
       combination with no obstruction adds what it read off, which cancels
-      its Δ' at weight h, and goes on until its Δ' is 0.
+      its Δ' at weight h by the premise, and goes on until its Δ' is 0.  So
+      each stage ends, and nothing but the premise refuses.
     - The finish.  Every primitive x lies in the span of the monomials the
       stages imaged, the pure 2-powers and the read-offs.  Let c be the
       combination of candidates with x's pure 2-powers: x + c has none, so
@@ -354,10 +359,7 @@ def primitive_kernel(space: Space, degree: int, max_len: int) -> tuple[int, ...]
     above the right exponents: each exponent of w on either side carries
     2^len(w) of weight, so min(terms) has the lowest weight.  A monomial's Δ
     is the product of its factors' word coproducts, each 2^i-th power a
-    shift by i.  A corrupt coproduct raises ValueError: a term lighter than
-    its monomial, a read-off that is not a basis monomial, or one whose Δ'
-    at its own weight is not its shuffle coproduct, which would leave terms
-    of weight h behind and repeat the stage forever."""
+    shift by i."""
     basis = monomial_basis(space, degree, max_len)
     if degree < 1:
         return (1,) if basis else ()
@@ -375,40 +377,38 @@ def primitive_kernel(space: Space, degree: int, max_len: int) -> tuple[int, ...]
     words: dict[AdmissibleGen, list[int]] = {}
     deltas: dict[int, set[int]] = {}
 
-    def text(y: int) -> str:
-        widths = {w: (1 << (degree // w.degree).bit_length()) - 1 for w in fields.fields}
-        pairs = ((w, y >> s & widths[w]) for w, s in fields.fields.items())
-        return format_element(frozenset({mono_from_pairs(pairs)}))
+    def word(w: AdmissibleGen) -> list[int]:
+        """Δw packed, once per call, after checking the premise on it."""
+        if w in words:
+            return words[w]
+        terms = coproduct(frozenset({mono_word(w)}))
+        weight = 1 << len(w.ops) + wt
+        try:
+            packed = [sum(e * lunit[v] for v, e in l) + sum(e * runit[v] for v, e in r) for l, r in terms]
+        except KeyError:
+            fault = f"the coproduct of {{}} leaves the words of degree <= {degree}"
+        else:
+            if any(l.degree + r.degree != w.degree for l, r in terms):
+                fault = "the coproduct of {} has a term of another degree"
+            elif any(x < weight for x in packed):
+                fault = "the reduced coproduct of {} has a term lighter than it"
+            elif {x for x in packed if x >> wt << wt == weight} != {lunit[w], runit[w]}:
+                fault = "the reduced coproduct of {} is not its shuffle coproduct at its weight"
+            else:
+                return words.setdefault(w, packed)
+        raise ValueError(fault.format(format_element(frozenset({mono_word(w)}))))
 
     def reduced(y: int) -> set[int]:
         """Δ' of the basis monomial packed as y."""
         if y not in deltas:
-            if y not in index:
-                raise ValueError(
-                    f"read off {text(y)}, which is not a basis monomial of degree {degree}"
-                )
             m = basis[index[y]]
-            for w, _ in m:
-                if w not in words:
-                    try:
-                        words[w] = [
-                            sum(e * lunit[v] for v, e in l) + sum(e * runit[v] for v, e in r)
-                            for l, r in coproduct(frozenset({mono_word(w)}))
-                        ]
-                    except KeyError:
-                        raise ValueError(
-                            f"the coproduct of {text(pack(mono_word(w)))} leaves the words "
-                            f"of degree <= {degree}"
-                        ) from None
             weight = mono_height(m) << wt
             # w^e is the product of the w^(2^i) for the bits i of e
             powers = (
-                [x << i for x in words[w]] for w, e in m for i in range(e.bit_length()) if e >> i & 1
+                [x << i for x in word(w)] for w, e in m for i in range(e.bit_length()) if e >> i & 1
             )
             out = set(reduce(_times, powers))
             out ^= {weight + y, weight + (y << shift)}
-            if out and min(out) < weight:
-                raise ValueError(f"the reduced coproduct of {text(y)} has a term lighter than it")
             deltas[y] = out
         return deltas[y]
 
@@ -451,25 +451,13 @@ def primitive_kernel(space: Space, degree: int, max_len: int) -> tuple[int, ...]
                 ys.symmetric_difference_update(lifts[i][0])
             for y in ys:
                 delta ^= reduced(y)
-            if not delta:
-                continue
-            if (low := min(delta)) >= bound:
-                live.append((low, delta))
-            else:
-                # some read-off's Δ' at weight h is not its shuffle coproduct
-                y = next(
-                    y for y in ys
-                    if {x for x in reduced(y) if x < bound}
-                    != {(h << wt) + k + ((y ^ k) << shift) for k in _splits(y)}
-                )
-                raise ValueError(
-                    f"the reduced coproduct of {text(y)} is not its shuffle coproduct at its weight"
-                )
+            if delta:
+                live.append((min(delta), delta))
 
     # the kernel of Δ' on the span of every monomial imaged, rows ascending
     # by basis position
     imaged = sorted(deltas, key=index.__getitem__)
-    kernel = _map_kernel(deltas[y] for y in imaged)
+    kernel = _map_kernel(deltas.pop(y) for y in imaged)
     return tuple(sum(1 << index[imaged[j]] for j in bits(trk)) for trk in kernel)
 
 
@@ -702,6 +690,67 @@ def _vanishes_mod2(terms: list[int]) -> bool:
     return not any(n & 1 for n in set(Counter(terms).values()))
 
 
+def _hopf_checks(report: VerifyReport, space: Space, max_len: int, hopf_degree: int) -> None:
+    """The root verifier's two Hopf checks.  A coproduct leg outside the
+    numbered bases is one failure, and then neither check runs."""
+    # each basis monomial's coproduct, once, as pairs i(l) n + i(r) and as
+    # packed terms; every leg is a basis monomial of no larger degree (the
+    # cap is honest), so it has a number, and the tables die with this call
+    fields = _WordFields(space, hopf_degree, max_len)
+    shift = fields.right
+    bases = [monomial_basis(space, degree, max_len) for degree in range(hopf_degree + 1)]
+    index = {m: i for i, m in enumerate(m for basis in bases for m in basis)}
+    n = len(index)
+    packed = [fields.pack(m) for m in index]
+    pairs: list[list[int]] = []
+    delta: dict[int, list[int]] = {}
+    for m, x in zip(index, packed):
+        try:
+            legs = [(index[l], index[r]) for l, r in coproduct(frozenset({m}))]
+        except KeyError:
+            text = format_element(frozenset({m}))
+            report.failures.append(f"the coproduct of {text} leaves the basis of degree <= {hopf_degree}")
+            return
+        pairs.append([a * n + b for a, b in legs])
+        delta[x] = [packed[a] + (packed[b] << shift) for a, b in legs]
+
+    # coassociativity on basis monomials: (Δ (x) 1)Δm + (1 (x) Δ)Δm sums
+    # Δa (x) b and a (x) Δb over the terms a (x) b of Δm, as triples
+    # l1 (x) l2 (x) r numbered (i(l1) n + i(l2)) n + i(r), ints below n^3
+    nn = n * n
+    for basis in bases[1:]:
+        for m in basis:
+            report.checked += 1
+            legs = [divmod(t, n) for t in pairs[index[m]]]
+            triples = [y * n + b for a, b in legs for y in pairs[a]]
+            triples += [a * nn + z for a, b in legs for z in pairs[b]]
+            if not _vanishes_mod2(triples):
+                report.failures.append(f"coassociativity fails on {format_element(frozenset({m}))}")
+
+    # multiplicativity on pairs of basis monomials, on packed terms: Δ(m1 m2)
+    # + Δm1 Δm2 as a set of the terms of odd count.  Δ(m1 m2) has distinct
+    # terms, and so has x Δm2 for each x, so toggling each run in is the sum
+    # mod 2.  m1 m2 packs as packed(m1) + packed(m2), and its Δ is in the
+    # table: the product lies in the basis of degree deg m1 + deg m2 <=
+    # hopf_degree, and its exponents fit the fields of that degree
+    for d1 in range(1, hopf_degree):
+        for d2 in range(d1, hopf_degree - d1 + 1):
+            right = [(m2, x2, delta[x2]) for m2 in bases[d2] for x2 in (packed[index[m2]],)]
+            for m1 in bases[d1]:
+                x1 = packed[index[m1]]
+                delta1 = delta[x1]
+                for m2, x2, delta2 in right:
+                    report.checked += 1
+                    acc = set(delta[x1 + x2])
+                    for x in delta1:
+                        acc ^= {x + y for y in delta2}
+                    if acc:
+                        report.failures.append(
+                            f"coproduct is not multiplicative on "
+                            f"{format_element(frozenset({m1}))} and {format_element(frozenset({m2}))}"
+                        )
+
+
 def verify_root_compatibility(
     space: Space,
     max_len: int = 2,
@@ -752,57 +801,7 @@ def verify_root_compatibility(
         0,
     )
 
-    # each basis monomial's coproduct, once, as pairs i(l) n + i(r) and as
-    # packed terms; every leg is a basis monomial of no larger degree (the
-    # cap is honest), so it has a number, and the tables die with this call
-    fields = _WordFields(space, hopf_degree, max_len)
-    shift = fields.right
-    bases = [monomial_basis(space, degree, max_len) for degree in range(hopf_degree + 1)]
-    index = {m: i for i, m in enumerate(m for basis in bases for m in basis)}
-    n = len(index)
-    packed = [fields.pack(m) for m in index]
-    pairs: list[list[int]] = []
-    delta: dict[int, list[int]] = {}
-    for m, x in zip(index, packed):
-        legs = [(index[l], index[r]) for l, r in coproduct(frozenset({m}))]
-        pairs.append([a * n + b for a, b in legs])
-        delta[x] = [packed[a] + (packed[b] << shift) for a, b in legs]
-
-    # coassociativity on basis monomials: (Δ (x) 1)Δm + (1 (x) Δ)Δm sums
-    # Δa (x) b and a (x) Δb over the terms a (x) b of Δm, as triples
-    # l1 (x) l2 (x) r numbered (i(l1) n + i(l2)) n + i(r), ints below n^3
-    nn = n * n
-    for basis in bases[1:]:
-        for m in basis:
-            report.checked += 1
-            legs = [divmod(t, n) for t in pairs[index[m]]]
-            triples = [y * n + b for a, b in legs for y in pairs[a]]
-            triples += [a * nn + z for a, b in legs for z in pairs[b]]
-            if not _vanishes_mod2(triples):
-                report.failures.append(f"coassociativity fails on {format_element(frozenset({m}))}")
-
-    # multiplicativity on pairs of basis monomials, on packed terms: Δ(m1 m2)
-    # + Δm1 Δm2 as a set of the terms of odd count.  Δ(m1 m2) has distinct
-    # terms, and so has x Δm2 for each x, so toggling each run in is the sum
-    # mod 2.  m1 m2 packs as packed(m1) + packed(m2), and its Δ is in the
-    # table: the product lies in the basis of degree deg m1 + deg m2 <=
-    # hopf_degree, and its exponents fit the fields of that degree
-    for d1 in range(1, hopf_degree):
-        for d2 in range(d1, hopf_degree - d1 + 1):
-            right = [(m2, x2, delta[x2]) for m2 in bases[d2] for x2 in (packed[index[m2]],)]
-            for m1 in bases[d1]:
-                x1 = packed[index[m1]]
-                delta1 = delta[x1]
-                for m2, x2, delta2 in right:
-                    report.checked += 1
-                    acc = set(delta[x1 + x2])
-                    for x in delta1:
-                        acc ^= {x + y for y in delta2}
-                    if acc:
-                        report.failures.append(
-                            f"coproduct is not multiplicative on "
-                            f"{format_element(frozenset({m1}))} and {format_element(frozenset({m2}))}"
-                        )
+    _hopf_checks(report, space, max_len, hopf_degree)
 
     # the root undoes squaring
     for degree in range(1, square_degree + 1):

@@ -847,26 +847,43 @@ _DROPPED_TERM_FAILURES = [
 
 
 def test_verify_root_catches_a_dropped_coproduct_term(monkeypatch, unmemoized_coproducts):
+    # Δ(Q^3 a1) is short of a unit term, so the lift refuses degree 4, the
+    # first degree whose pure 2-powers meet Q^3 a1; the other cases stay
     _drop_a_coproduct_term(monkeypatch)
     rep = verify_root_compatibility(P, 2, 8, 6, 8, 6)
-    # one primitive fewer than with the true coproduct: Δ'(Q^3 a1) keeps a
-    # unit term, which no combination of pure 2-powers cancels, so the
-    # primitive check at degree 4 sees a1^4 alone
-    assert rep.checked == 525
-    assert rep.failures == _DROPPED_TERM_FAILURES
+    assert rep.checked == 524
+    assert rep.failures == _DROPPED_TERM_FAILURES + [
+        "the primitive lift refuses degree 4: the reduced coproduct of Q^3 a1 "
+        "is not its shuffle coproduct at its weight"
+    ]
 
 
 def test_verify_root_reports_a_refused_lift(monkeypatch, unmemoized_coproducts):
-    # at degree 8 the lift refuses the broken coproduct (see
-    # test_the_lift_refuses_a_coproduct_that_is_not_shuffle_at_its_weight):
-    # that degree is one failure, and the coassociativity failures and the
-    # cases of the other degrees stay in the report
+    # each degree the lift refuses is one failure, and the coassociativity
+    # failures and the cases of the other degrees stay in the report
     _drop_a_coproduct_term(monkeypatch)
     rep = verify_root_compatibility(P, 2, 8, 6, 8, 8)
-    assert rep.checked == 525
+    assert rep.checked == 524
     assert rep.failures == _DROPPED_TERM_FAILURES + [
-        "the primitive lift refuses degree 8: the reduced coproduct of a2^2*Q^3 a1 "
+        f"the primitive lift refuses degree {d}: the reduced coproduct of Q^3 a1 "
         "is not its shuffle coproduct at its weight"
+        for d in (4, 8)
+    ]
+
+
+def test_verify_root_reports_a_coproduct_leg_outside_its_bases(monkeypatch, unmemoized_coproducts):
+    # with a1 (x) a5 in Δ(Q^3 a1), Δ((Q^3 a1)^2) has the leg a5^2, of degree
+    # 10: the Hopf table cannot number it, so that is one failure and the
+    # two Hopf checks are skipped; the lift refuses degrees 4 and 8, and the
+    # root checks still run
+    a1, a5 = (mono_word(AdmissibleGen((), Generator(P, n))) for n in (1, 5))
+    _plant_a_coproduct_term(monkeypatch, AdmissibleGen((3,), Generator(P, 1)), (a1, a5))
+    rep = verify_root_compatibility(P, 2, 8, 6, 8, 8)
+    assert rep.checked == 70
+    assert rep.failures == [
+        "the coproduct of (Q^3 a1)^2 leaves the basis of degree <= 8",
+        "the primitive lift refuses degree 4: the coproduct of Q^3 a1 leaves the words of degree <= 4",
+        "the primitive lift refuses degree 8: the coproduct of Q^3 a1 has a term of another degree",
     ]
 
 
@@ -1158,16 +1175,48 @@ def test_the_lift_refuses_a_coproduct_leg_outside_the_word_fields(monkeypatch, u
 def test_the_lift_refuses_a_coproduct_that_is_not_shuffle_at_its_weight(
     monkeypatch, unmemoized_coproducts
 ):
-    # with Δ(Q^3 a1) short of a unit term, the stage at weight 4 of degree 7
-    # reads off Q^2 a1*Q^3 a1, whose Δ' there is not its shuffle coproduct,
-    # so its correction leaves terms of weight 4 behind; without the check
-    # the stage would repeat forever.  Below degree 7 no correction meets
-    # Q^3 a1, and the lift finishes
+    # with Δ(Q^3 a1) short of a unit term, its terms of weight 2 are not
+    # Q^3 a1 (x) 1 + 1 (x) Q^3 a1, so every degree whose lift meets Q^3 a1
+    # refuses: degree 4, where Q^3 a1 is itself a pure 2-power, and degree
+    # 7, where the read-off Q^2 a1*Q^3 a1 meets it; degrees 5 and 6 never do
     _drop_a_coproduct_term(monkeypatch)
-    assert [len(primitive_kernel(P, d, 2)) for d in range(1, 7)] == [1, 1, 2, 1, 3, 3]
-    message = r"^the reduced coproduct of Q\^2 a1\*Q\^3 a1 is not its shuffle coproduct at its weight$"
-    with pytest.raises(ValueError, match=message):
-        primitive_kernel(P, 7, 2)
+    assert [len(primitive_kernel(P, d, 2)) for d in range(1, 4)] == [1, 1, 2]
+    assert [len(primitive_kernel(P, d, 2)) for d in (5, 6)] == [3, 3]
+    message = r"^the reduced coproduct of Q\^3 a1 is not its shuffle coproduct at its weight$"
+    for d in (4, 7):
+        with pytest.raises(ValueError, match=message):
+            primitive_kernel(P, d, 2)
+
+
+def test_the_lift_refuses_a_coproduct_term_of_another_degree(monkeypatch, unmemoized_coproducts):
+    # a1 (x) a4 has degree 5 in Δ(Q^3 a1), of degree 4; (Q^3 a1)^2 is a pure
+    # 2-power of degree 8
+    w = AdmissibleGen((3,), Generator(P, 1))
+    a1, a4 = (mono_word(AdmissibleGen((), Generator(P, n))) for n in (1, 4))
+    _plant_a_coproduct_term(monkeypatch, w, (a1, a4))
+    with pytest.raises(ValueError, match=r"^the coproduct of Q\^3 a1 has a term of another degree$"):
+        primitive_kernel(P, 8, 2)
+
+
+def test_a_corrupt_coproduct_never_yields_a_wrong_count(monkeypatch, unmemoized_coproducts):
+    # each planted term breaks the premise of the lift on Q^3 a1, so each
+    # degree either counts the true primitives or refuses; and the root
+    # verifier reports what it finds, without raising
+    w = AdmissibleGen((3,), Generator(P, 1))
+    a1, a2, a4 = (mono_word(AdmissibleGen((), Generator(P, n))) for n in (1, 2, 4))
+    q3a1, q2a1 = mono_word(w), mono_word(AdmissibleGen((2,), Generator(P, 1)))
+    true = [1, 1, 2, 2, 3, 3, 5, 4, 6, 6, 8, 7]
+    for term in [(a1, q3a1), (q3a1, a1), (a2, q2a1), (a1, a4)]:
+        monkeypatch.undo()
+        _plant_a_coproduct_term(monkeypatch, w, term)
+        primitive_kernel.cache_clear()
+        for d in range(1, 13):
+            try:
+                count = len(primitive_kernel(P, d, 2))
+            except ValueError:
+                continue
+            assert count == true[d - 1], (term, d)
+        assert not verify_root_compatibility(P, 2, 8, 6, 8, 8).ok
 
 
 def test_newton_primitives_lie_in_the_primitive_kernel():
